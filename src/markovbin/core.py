@@ -31,11 +31,20 @@ __all__ = [
     "shift_tv",
 ]
 
-# The DP is O(n^2) time; this cap guards against accidental huge inputs.
+# Cap on the exact DP.  Its live window spans the partial sums whose mass is
+# a normal double (about 26 000 of them at n = 100 000 for alpha = 0.1,
+# beta = 0.8), so this size runs in seconds; the cap guards against
+# accidental huge inputs.
 MAX_EXACT_N = 100_000
 
-# Normalization tolerance for exactly-constructed mass functions.
+# Normalization tolerance for mass functions built by construction; exact
+# laws of long sums use a size-aware one (see ``_exact_tol``).
 PMF_TOL = 1e-12
+
+# Masses below the smallest normal double are subnormal, and arithmetic on
+# them is many times slower; the exact DP moves them to ``Pmf.tail``.
+_TINY = float(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
 
 Start = Union[str, Sequence[float]]
 
@@ -76,23 +85,36 @@ class StationaryLaw:
 
 
 def stationary_law(params: ChainParams) -> StationaryLaw:
-    """Invariant law: p = alpha / (1 - beta + alpha).
+    """Invariant law: p = alpha / (1 - beta + alpha), p0 = 1 - p.
 
     The denominator is evaluated as ``1 - (beta - alpha)`` so that the
-    alpha == beta case yields p == alpha exactly in floating point.
+    alpha == beta case yields p == alpha exactly in floating point.  That form
+    cancels when beta - alpha is near 1: its error is about eps/4 divided by
+    the denominator, and at alpha = 1e-6, beta = 0.999999 the two quotients
+    miss 1 by 5e-11.  When they miss 1 by more than a few roundings the
+    denominator is recomputed as ``(1 - beta) + alpha``, whose terms are both
+    non-negative and so cannot cancel.  Inputs that sum within rounding keep
+    the first form, so their masses are unchanged.
     """
-    denom = 1.0 - (params.beta - params.alpha)
-    return StationaryLaw(p=params.alpha / denom, p0=(1.0 - params.beta) / denom)
+    a, b = params.alpha, params.beta
+    denom = 1.0 - (b - a)
+    p, p0 = a / denom, (1.0 - b) / denom
+    if abs(p + p0 - 1.0) > 4.0 * _EPS:
+        denom = (1.0 - b) + a
+        p, p0 = a / denom, (1.0 - b) / denom
+    return StationaryLaw(p=p, p0=p0)
 
 
 @dataclass(frozen=True, eq=False)
 class Pmf:
     """A law on {0, ..., N}, possibly the truncation of a law on Z+.
 
-    ``mass[k]`` is P(k).  ``tail`` is the reported mass beyond N for truncated
-    constructions and zero for exact ones; ``tol`` is the normalization
-    tolerance the instance was declared with (mass + tail must sum to 1
-    within it).
+    ``mass[k]`` is P(k).  ``tail`` is the reported mass missing from ``mass``:
+    the mass beyond N for truncated constructions, and for exact laws the
+    subnormal masses the DP dropped from its window (below n + 1 times the
+    smallest normal double, so about 2e-303 at most).  ``tol`` is the
+    normalization tolerance the instance was declared with (mass + tail must
+    sum to 1 within it).
     """
 
     mass: np.ndarray
@@ -143,6 +165,24 @@ def _initial_law(params: ChainParams, start: Start) -> np.ndarray:
     return law
 
 
+def _exact_tol(n: int) -> float:
+    """Normalization tolerance for an exact law of an n-step sum.
+
+    Each DP step updates every partial-sum mass with three roundings relative
+    to that mass (the coefficient ``1 - alpha`` or ``1 - beta``, the multiply
+    and the add), so one step changes the total mass by a relative amount of
+    at most 3u, u = eps/2 being the unit roundoff.  After n steps the drift is
+    at most 3nu; the final ``f0 + f1`` and the pairwise sum in the check add
+    u + O(log2 n)u, and the stationary start a few u more.  All of this stays
+    below 4(n+1)u = 2(n+1)eps once n exceeds about 40, and below ``PMF_TOL``
+    before that, so ``max(PMF_TOL, 2(n+1)eps)`` is never looser than
+    ``PMF_TOL`` for n up to about 2 250.  The drift is systematic, not a
+    random walk: the coefficient roundings bias every step the same way, which
+    is why a fixed tolerance fails at large n (2.0e-12 at n = 100 000).
+    """
+    return max(PMF_TOL, 2.0 * (n + 1) * _EPS)
+
+
 def exact_pmf(params: ChainParams, n: int, start: Start = "stationary") -> Pmf:
     """Exact law of the n-step sum under the given start.
 
@@ -150,7 +190,20 @@ def exact_pmf(params: ChainParams, n: int, start: Start = "stationary") -> Pmf:
     and the sum runs over steps 1..n, so the anchoring state itself is never
     counted.  ``start="state0"`` therefore gives the law of the sum of n
     transitions out of state 0.  For the stationary start this coincides with
-    summing n stationary states.  O(n^2) time, O(n) memory.
+    summing n stationary states.
+
+    Each step updates only a live window ``lo..hi`` of partial sums.  After
+    each step, edge entries whose mass ``f0 + f1`` is below the smallest
+    normal double (about 2.2e-308) leave the window, their mass goes to
+    ``Pmf.tail`` and they read 0 in ``mass``.  Such masses are subnormal, and
+    arithmetic on subnormal doubles is many times slower than on normal ones:
+    a full-width DP keeps thousands of them alive at large n (8 731 of 20 001
+    at n = 20 000), so its cost per cell grows with n.  Dropping one changes
+    any later mass by less than the smallest normal double, so masses of
+    1e-280 or more match the full-width DP to the last bit.  The window gains
+    one entry per step and each drop removes one, so at most n + 1 entries
+    are dropped and ``tail`` stays below n + 1 times the smallest normal
+    double.  The cost is O(n * width) time, at most O(n^2), and O(n) memory.
     """
     if n < 1:
         raise ValueError("n must be >= 1 (the empty sum is not defined here)")
@@ -158,23 +211,43 @@ def exact_pmf(params: ChainParams, n: int, start: Start = "stationary") -> Pmf:
         raise ValueError(f"n={n} exceeds MAX_EXACT_N={MAX_EXACT_N}")
     init = _initial_law(params, start)
     a, b = params.alpha, params.beta
+    a0, b0 = 1.0 - a, 1.0 - b
 
-    # f0[k], f1[k]: probability of (partial sum k, current state 0 or 1).
+    # f0[k], f1[k]: probability of (partial sum k, current state 0 or 1), live
+    # on the half-open window lo..hi; entries outside it are never read.
     f0 = np.zeros(n + 1)
     f1 = np.zeros(n + 1)
     g0 = np.zeros(n + 1)
     g1 = np.zeros(n + 1)
+    scratch = np.empty(n + 1)
     f0[0] = init[0]
     f1[0] = init[1]
-    for t in range(n):
-        hi = t + 1  # populated entries are 0..t before this step
-        g0[:hi] = (1.0 - a) * f0[:hi] + (1.0 - b) * f1[:hi]
+    lo, hi = 0, 1
+    tail = 0.0
+    for _ in range(n):
+        src0, src1, tmp = f0[lo:hi], f1[lo:hi], scratch[lo:hi]
+        dst0, dst1 = g0[lo:hi], g1[lo + 1 : hi + 1]
+        np.multiply(src0, a0, out=dst0)
+        np.multiply(src1, b0, out=tmp)
+        np.add(dst0, tmp, out=dst0)
+        np.multiply(src0, a, out=dst1)
+        np.multiply(src1, b, out=tmp)
+        np.add(dst1, tmp, out=dst1)
         g0[hi] = 0.0
-        g1[0] = 0.0
-        g1[1 : hi + 1] = a * f0[:hi] + b * f1[:hi]
+        g1[lo] = 0.0
+        hi += 1
         f0, g0 = g0, f0
         f1, g1 = g1, f1
-    return Pmf(f0 + f1)
+        # The total mass is about 1, so both scans stop at the largest entry.
+        while (edge := f0[lo] + f1[lo]) < _TINY:
+            tail += edge
+            lo += 1
+        while (edge := f0[hi - 1] + f1[hi - 1]) < _TINY:
+            tail += edge
+            hi -= 1
+    mass = np.zeros(n + 1)
+    np.add(f0[lo:hi], f1[lo:hi], out=mass[lo:hi])
+    return Pmf(mass, tail=float(tail), tol=_exact_tol(n))
 
 
 def exact_conditional_pmf(params: ChainParams, n: int, i: int, j: int) -> Pmf:
@@ -184,7 +257,9 @@ def exact_conditional_pmf(params: ChainParams, n: int, i: int, j: int) -> Pmf:
     the right segment (steps i+1..n) are independent.  The left segment is
     the reversed chain run i-1 steps out of state j; the stationary two-state
     chain satisfies detailed balance, so the reversed chain has the same
-    transition matrix and both segments reuse the forward DP.
+    transition matrix and both segments reuse the forward DP.  The result
+    carries both segments' dropped subnormal mass as ``tail`` and the
+    size-aware tolerance of an n-step exact law.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -193,9 +268,12 @@ def exact_conditional_pmf(params: ChainParams, n: int, i: int, j: int) -> Pmf:
     if j not in (0, 1):
         raise ValueError(f"state j must be 0 or 1, got {j!r}")
     start = "state1" if j == 1 else "state0"
-    left = exact_pmf(params, i - 1, start).mass if i > 1 else np.ones(1)
-    right = exact_pmf(params, n - i, start).mass if i < n else np.ones(1)
-    return Pmf(np.convolve(left, right))
+    one = Pmf(np.ones(1))
+    left = exact_pmf(params, i - 1, start) if i > 1 else one
+    right = exact_pmf(params, n - i, start) if i < n else one
+    return Pmf(
+        np.convolve(left.mass, right.mass), tail=left.tail + right.tail, tol=_exact_tol(n)
+    )
 
 
 @dataclass(frozen=True)

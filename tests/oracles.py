@@ -34,6 +34,31 @@ def enumerate_pmf(alpha: float, beta: float, n: int, start: str = "stationary") 
     return np.bincount(sums, weights=weights, minlength=n + 1)
 
 
+def full_dp_pmf(alpha: float, beta: float, n: int, init: np.ndarray) -> np.ndarray:
+    """Law of the n-step sum by the full-width DP over (partial sum, state).
+
+    Every step updates all n + 1 partial sums, subnormal ones included, with
+    the same arithmetic as the library's windowed DP, so masses the window
+    keeps must agree with it to the last bit.  ``init`` is the law of the
+    anchoring state on {0, 1}.
+    """
+    f0 = np.zeros(n + 1)
+    f1 = np.zeros(n + 1)
+    g0 = np.zeros(n + 1)
+    g1 = np.zeros(n + 1)
+    f0[0] = init[0]
+    f1[0] = init[1]
+    for t in range(n):
+        hi = t + 1  # populated entries are 0..t before this step
+        g0[:hi] = (1.0 - alpha) * f0[:hi] + (1.0 - beta) * f1[:hi]
+        g0[hi] = 0.0
+        g1[0] = 0.0
+        g1[1 : hi + 1] = alpha * f0[:hi] + beta * f1[:hi]
+        f0, g0 = g0, f0
+        f1, g1 = g1, f1
+    return f0 + f1
+
+
 def mc_state1_frequency(
     alpha: float, beta: float, seed: int, chains: int = 20_000, burn: int = 200, keep: int = 500
 ) -> float:

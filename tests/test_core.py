@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovbin import (
+    MAX_EXACT_N,
     ChainParams,
     Pmf,
     exact_conditional_pmf,
@@ -15,7 +16,13 @@ from markovbin import (
     tv_distance,
 )
 
-from oracles import enumerate_pmf, mc_state1_frequency
+from markovbin.cli import evaluate_point
+from markovbin.core import PMF_TOL
+from markovbin.fit import DegenerateFitError, RegimeError
+from oracles import enumerate_pmf, full_dp_pmf, mc_state1_frequency
+
+TINY = np.finfo(float).tiny
+EPS = np.finfo(float).eps
 
 params_strategy = st.tuples(
     st.floats(min_value=0.02, max_value=0.98),
@@ -38,6 +45,7 @@ class TestChainParams:
 class TestStationaryLaw:
     def test_equal_rates_give_alpha(self):
         assert stationary_law(ChainParams(0.2, 0.2)).p == 0.2
+        assert stationary_law(ChainParams(0.7, 0.7)).p == 0.7
 
     def test_known_values(self):
         assert stationary_law(ChainParams(0.3, 0.6)).p == pytest.approx(3 / 7, rel=1e-15)
@@ -60,6 +68,19 @@ class TestStationaryLaw:
         params = ChainParams(0.37, 0.81)
         law = stationary_law(params)
         assert law.p0 * params.alpha == pytest.approx(law.p * (1.0 - params.beta), rel=1e-14)
+
+    def test_cancelling_denominator(self):
+        # 1 - (beta - alpha) cancels here; the quotients used to miss 1 by 5e-11
+        law = stationary_law(ChainParams(1e-6, 0.999999))
+        assert abs(law.p + law.p0 - 1.0) <= 4 * EPS
+        assert law.p == pytest.approx(1e-6 / (1e-6 + (1.0 - 0.999999)), rel=4 * EPS)
+
+    def test_edge_point_evaluates(self):
+        try:
+            row = evaluate_point(ChainParams(1e-6, 0.999999), 10)
+        except (RegimeError, DegenerateFitError):
+            return
+        assert row["status"] in ("ok", "degenerate_fit")
 
 
 class TestPmf:
@@ -123,6 +144,46 @@ class TestExactPmf:
         pmf = exact_pmf(ChainParams(*ab), n)
         assert abs(float(pmf.mass.sum()) - 1.0) <= 1e-12
         assert np.all(pmf.mass >= 0.0)
+
+
+class TestWindowedDp:
+    @pytest.mark.parametrize(
+        "alpha,beta,n,start",
+        [
+            (0.11, 0.8, 5000, "stationary"),
+            (0.11, 0.8, 5000, "state0"),
+            (0.11, 0.8, 5000, "state1"),
+            (1e-3, 0.999, 2000, "stationary"),  # bimodal, peaks at 0 and n
+        ],
+    )
+    def test_matches_full_width_dp(self, alpha, beta, n, start):
+        params = ChainParams(alpha, beta)
+        law = exact_pmf(params, n, start=start)
+        inits = {
+            "stationary": stationary_law(params).as_array(),
+            "state0": [1.0, 0.0],
+            "state1": [0.0, 1.0],
+        }
+        full = full_dp_pmf(alpha, beta, n, np.asarray(inits[start]))
+        kept = full >= 1e-280
+        assert law.mass.size == n + 1
+        assert np.array_equal(law.mass[kept], full[kept])
+        assert 0.0 <= law.tail <= (n + 1) * TINY
+        assert not np.any((law.mass > 0.0) & (law.mass < TINY))
+
+    def test_max_exact_n(self):
+        params = ChainParams(0.1, 0.8)
+        n = MAX_EXACT_N
+        law = exact_pmf(params, n)
+        tol = 2 * (n + 1) * EPS
+        assert law.tol == tol
+        assert abs(float(law.mass.sum()) + law.tail - 1.0) <= tol
+        mean, variance = moments_from_pmf(law)
+        closed = moments_closed_form(params, n)
+        assert mean == pytest.approx(closed.mean, rel=1e-9)
+        assert variance == pytest.approx(closed.variance, rel=1e-9)
+        # the size-aware tolerance is never looser than PMF_TOL up to n = 1000
+        assert exact_pmf(params, 1000).tol == PMF_TOL
 
 
 class TestExactConditionalPmf:
