@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, asdict
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .core import ChainParams, exact_pmf, moments_closed_form, shift_tv, tv_dist
 from .fit import (
     DegenerateFitError,
     Regime,
+    RegimeError,
     classify_regime,
     binomial_pmf,
     fit_binomial,
@@ -35,16 +36,10 @@ from .fit import (
 __all__ = ["SweepConfig", "cmd_fit", "cmd_sweep", "cmd_verify", "run_sweep", "main"]
 
 _CHECK_NAMES = ("bounds", "stein", "coupling", "lemma21", "lemma24")
-_VERIFY_SUITES = (
-    "bounds",
-    "stein-nb",
-    "stein-binomial",
-    "coupling",
-    "mc-exact",
-    "lemma21",
-    "lemma22",
-    "lemma24",
-)
+# Fit columns of a report record; each regime fills some of them.
+_FIT_FIELDS = ("r", "q", "poisson_limit", "m_tilde", "m", "theta", "epsilon")
+# Stein solutions must satisfy their recurrence to this sup-norm residual.
+_STEIN_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,33 +70,19 @@ class SweepConfig:
 
 
 def _fitted_reference(params: ChainParams, n: int, regime: Regime):
-    """Reference pmf plus fit fields for one grid point; None on degeneracy."""
-    fields: dict[str, Any] = {
-        "r": None,
-        "q": None,
-        "poisson_limit": None,
-        "m_tilde": None,
-        "m": None,
-        "theta": None,
-        "epsilon": None,
-    }
+    """Fit fields, reference pmf and bound report for one grid point."""
     if regime is Regime.UNDERDISPERSED:
         fit = fit_binomial(params, n)
-        fields.update(
-            m_tilde=fit.m_tilde, m=fit.m, theta=fit.theta, epsilon=fit.epsilon
-        )
-        reference = binomial_pmf(fit.m, fit.theta)
-        report = bounds_mod.bound_binomial(params, n, fit)
+        fields = {"m_tilde": fit.m_tilde, "m": fit.m, "theta": fit.theta, "epsilon": fit.epsilon}
+        return fields, binomial_pmf(fit.m, fit.theta), bounds_mod.bound_binomial(params, n, fit)
+    fit = fit_negative_binomial(params, n)
+    fields = {"poisson_limit": fit.poisson_limit}
+    if fit.poisson_limit:
+        reference = poisson_pmf(fit.lam)
     else:
-        fit = fit_negative_binomial(params, n)
-        fields.update(poisson_limit=fit.poisson_limit)
-        if fit.poisson_limit:
-            reference = poisson_pmf(fit.lam)
-        else:
-            fields.update(r=fit.r, q=fit.q)
-            reference = nb_pmf(fit.r, fit.q)
-        report = bounds_mod.bound_nb(params, n)
-    return fields, reference, report, fit
+        fields.update(r=fit.r, q=fit.q)
+        reference = nb_pmf(fit.r, fit.q)
+    return fields, reference, bounds_mod.bound_nb(params, n)
 
 
 def evaluate_point(
@@ -118,20 +99,10 @@ def evaluate_point(
         "regime": regime.value,
         "mean": moments.mean,
         "variance": moments.variance,
-        "r": None,
-        "q": None,
-        "poisson_limit": None,
-        "m_tilde": None,
-        "m": None,
-        "theta": None,
-        "epsilon": None,
-        "bound": None,
-        "bound_clipped": None,
-        "tail_mass": None,
-        "tv_exact": None,
+        **dict.fromkeys((*_FIT_FIELDS, "bound", "bound_clipped", "tail_mass", "tv_exact")),
     }
     try:
-        fields, reference, report, _ = _fitted_reference(params, n, regime)
+        fields, reference, report = _fitted_reference(params, n, regime)
     except DegenerateFitError:
         row["status"] = "degenerate_fit"
         return row
@@ -152,65 +123,143 @@ def _random_subset(rng: np.random.Generator, upper: int) -> np.ndarray:
     return np.flatnonzero(rng.random(upper + 1) < 0.5)
 
 
-def _check_bounds(row: dict[str, Any]) -> str:
+# Each check returns (ok, report lines); ok is None when the check does not
+# apply to the point (no fit or no exact TV), which counts as a pass.
+_Check = tuple[bool | None, list[str]]
+
+
+def _check_bounds(row: dict[str, Any]) -> _Check:
+    """Exact TV within the clipped bound plus the reference's tail mass."""
+    lines = _record_lines(row)
     if row["status"] != "ok" or row["tv_exact"] is None:
-        return "skipped"
+        return None, lines
     # 1e-12 absorbs the evaluation noise of the exact TV itself (it matters
     # only where the bound is exactly 0 and the TV is pure rounding).
-    ok = row["tv_exact"] <= min(1.0, row["bound"]) + row["tail_mass"] + 1e-12
-    return "pass" if ok else "fail"
+    return row["tv_exact"] <= min(1.0, row["bound"]) + row["tail_mass"] + 1e-12, lines
 
 
-def _check_stein(params: ChainParams, n: int, seed: int, subsets: int = 20) -> str:
-    regime = classify_regime(params, n)
-    rng = np.random.default_rng(seed)
-    if regime is Regime.UNDERDISPERSED:
-        try:
-            fit = fit_binomial(params, n)
-        except DegenerateFitError:
-            return "skipped"
-        for _ in range(subsets):
-            subset = _random_subset(rng, fit.m + 16)
-            solution = stein_mod.solve_binomial_stein(fit.m, fit.theta, subset)
-            report = stein_mod.check_binomial_lemma31(solution, fit.m, fit.theta, subset)
-            if solution.residual_sup > 1e-9 or not report.ok:
-                return "fail"
-        return "pass"
+def _stein_nb(params: ChainParams, n: int, seed: int, subsets: int) -> _Check:
+    """Negative binomial Stein solutions for random subsets: residual and
+    sup|dg'| <= 1/a."""
     setup = stein_mod.NbSteinSetup.from_chain(params, n)
+    rng = np.random.default_rng(seed)
     top = setup.target.mass.size - 1
+    ok, worst_resid, worst_margin = True, 0.0, math.inf
     for _ in range(subsets):
-        subset = _random_subset(rng, top)
-        solution = stein_mod.solve_nb_stein(setup, subset)
+        solution = stein_mod.solve_nb_stein(setup, _random_subset(rng, top))
         report = stein_mod.check_nb_delta_bound(solution, setup.a)
-        if solution.residual_sup > 1e-9 or not report.ok:
-            return "fail"
-    return "pass"
+        ok = ok and report.ok and solution.residual_sup <= _STEIN_RESIDUAL_TOL
+        worst_resid = max(worst_resid, solution.residual_sup)
+        worst_margin = min(worst_margin, report.margin)
+    return ok, [
+        f"subsets: {subsets}, max residual: {worst_resid:.3g}",
+        f"min slack of sup|dg'| <= 1/a: {worst_margin:.6g}",
+    ]
 
 
-def _check_coupling(params: ChainParams, seed: int, samples: int = 20_000) -> str:
+def _stein_binomial(params: ChainParams, n: int, seed: int, subsets: int) -> _Check:
+    """Binomial Stein solutions for random subsets: residual and Lemma 3.1."""
+    fit = fit_binomial(params, n)
+    rng = np.random.default_rng(seed)
+    ok, worst_resid = True, 0.0
+    for _ in range(subsets):
+        subset = _random_subset(rng, fit.m + 16)
+        solution = stein_mod.solve_binomial_stein(fit.m, fit.theta, subset)
+        report = stein_mod.check_binomial_lemma31(solution, fit.m, fit.theta, subset)
+        ok = ok and report.ok and solution.residual_sup <= _STEIN_RESIDUAL_TOL
+        worst_resid = max(worst_resid, solution.residual_sup)
+    return ok, [f"subsets: {subsets}, max residual: {worst_resid:.3g}"]
+
+
+def _coupling(
+    params: ChainParams, seed: int, samples: int, sigmas: float, varsigma_max: int, tau_max: int
+) -> _Check:
+    """Coupled runs: P(varsigma >= m) = |beta - alpha|^(m-1) for m <= varsigma_max
+    and P(tau >= m) <= max(alpha, beta)^(m-1) for m <= tau_max, each within
+    ``sigmas`` standard errors, and no move off the diagonal."""
     runs = coupling_mod.sample_meeting_times(params, samples, seed)
-    if runs.absorption_violations:
-        return "fail"
     split = abs(params.beta - params.alpha)
-    for m in range(1, 5):
+    amax = max(params.alpha, params.beta)
+    ok = runs.absorption_violations == 0
+    lines = []
+    for m in range(1, varsigma_max + 1):
         target = split ** (m - 1)
         sigma = math.sqrt(target * (1.0 - target) / samples)
-        if abs(runs.varsigma_tail(m) - target) > 5.0 * sigma + 1e-12:
-            return "fail"
-    return "pass"
+        tail = runs.varsigma_tail(m)
+        ok = ok and abs(tail - target) <= sigmas * sigma + 1e-12
+        lines.append(f"P(varsigma >= {m}): empirical {tail:.6f} target {target:.6f}")
+    for m in range(1, tau_max + 1):
+        cap = amax ** (m - 1)
+        sigma = math.sqrt(cap * (1.0 - cap) / samples)
+        ok = ok and runs.tau_tail(m) <= cap + sigmas * sigma + 1e-12
+    lines.append(f"absorption violations: {runs.absorption_violations}")
+    return ok, lines
 
 
-def _check_lemma21(params: ChainParams, n: int) -> str:
-    consts = bounds_mod.bound_constants(params)
+def _lemma21(params: ChainParams, n: int) -> _Check:
+    """Shift TV of the sum out of state 0 within gamma(n)."""
     value = shift_tv(exact_pmf(params, n, start="state0"))
-    return "pass" if value <= bounds_mod.gamma_fn(consts, n) else "fail"
+    limit = bounds_mod.gamma_fn(bounds_mod.bound_constants(params), n)
+    return value <= limit, [
+        f"shift TV = {value:.6g}, gamma(n) = {limit:.6g}, slack = {limit - value:.6g}"
+    ]
 
 
-def _check_lemma24(params: ChainParams, n: int) -> str:
-    for i in sorted({1, (n + 1) // 2, n}):
-        if not stein_mod.verify_lemma24(params, n, i).ok:
-            return "fail"
-    return "pass"
+def _lemma22(step: float, n_max: int) -> _Check:
+    """Var S >= E S only where beta > alpha, on a (alpha, beta) grid, 2 <= n <= n_max."""
+    values = np.arange(step, 1.0, step)
+    cells = violations = 0
+    for alpha in values:
+        for beta in values:
+            params = ChainParams(float(alpha), float(beta))
+            for n in range(2, n_max + 1):
+                moment = moments_closed_form(params, n)
+                cells += 1
+                if moment.variance >= moment.mean and not beta > alpha:
+                    violations += 1
+    return violations == 0, [f"scanned {cells} cells, {violations} violations"]
+
+
+def _lemma24(params: ChainParams, n: int, indices: Iterable[int]) -> _Check:
+    """Lemma 2.4 at each index, with the worst sup-side and probe-side margins."""
+    ok, worst_sup, worst_delta = True, -math.inf, -math.inf
+    for i in indices:
+        report = stein_mod.verify_lemma24(params, n, i)
+        ok = ok and report.ok
+        worst_sup = max(worst_sup, report.tv2 - report.rhs_sup)
+        worst_delta = max(worst_delta, report.probe_max - report.rhs_delta)
+    return ok, [
+        f"worst sup-side margin: {-worst_sup:.6g}",
+        f"worst probe-side margin: {-worst_delta:.6g}",
+    ]
+
+
+def _mc_exact(params: ChainParams, n: int, samples: int, seed: int, tol: float) -> _Check:
+    """TV between the Monte Carlo and the exact law of the stationary sum."""
+    sums = coupling_mod.sample_sums(params, n, "stationary", samples, seed)
+    value = tv_distance(coupling_mod.empirical_pmf(sums, support_max=n), exact_pmf(params, n))
+    return value <= tol, [f"TV(empirical, exact) = {value:.6g} with {samples} samples (tol {tol})"]
+
+
+# Sweep budgets.  A sweep runs every check on every row, so its coupling test
+# is coarser than verify's (5 sigma, varsigma tails for m <= 4, no tau test)
+# to keep a whole grid from failing by chance.
+_SWEEP_STEIN_SUBSETS = 20
+_SWEEP_COUPLING = (20_000, 5.0, 4, 0)  # samples, sigmas, largest m of varsigma and tau tails
+
+
+def _verdict(check: _Check) -> str:
+    ok = check[0]
+    return "skipped" if ok is None else "pass" if ok else "fail"
+
+
+def _sweep_stein(row: dict[str, Any], params: ChainParams, n: int, seed: int) -> _Check:
+    if row["regime"] != Regime.UNDERDISPERSED.value:
+        return _stein_nb(params, n, seed, _SWEEP_STEIN_SUBSETS)
+    try:
+        return _stein_binomial(params, n, seed, _SWEEP_STEIN_SUBSETS)
+    except DegenerateFitError:
+        return None, []
 
 
 def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
@@ -224,15 +273,16 @@ def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
                 row = evaluate_point(params, n, exact=True)
                 seed = _row_seed(config.seed, index)
                 if "bounds" in config.checks:
-                    row["check_bounds"] = _check_bounds(row)
+                    row["check_bounds"] = _verdict(_check_bounds(row))
                 if "stein" in config.checks:
-                    row["check_stein"] = _check_stein(params, n, seed)
+                    row["check_stein"] = _verdict(_sweep_stein(row, params, n, seed))
                 if "coupling" in config.checks:
-                    row["check_coupling"] = _check_coupling(params, seed)
+                    row["check_coupling"] = _verdict(_coupling(params, seed, *_SWEEP_COUPLING))
                 if "lemma21" in config.checks:
-                    row["check_lemma21"] = _check_lemma21(params, n)
+                    row["check_lemma21"] = _verdict(_lemma21(params, n))
                 if "lemma24" in config.checks:
-                    row["check_lemma24"] = _check_lemma24(params, n)
+                    lemma24 = _lemma24(params, n, sorted({1, (n + 1) // 2, n}))
+                    row["check_lemma24"] = _verdict(lemma24)
                 rows.append(row)
                 index += 1
     if config.format == "csv":
@@ -293,12 +343,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _record_lines(record: dict[str, Any]) -> list[str]:
+    return [f"{key} = {'n/a' if value is None else _fmt(value)}" for key, value in record.items()]
+
+
 def _print_record(record: dict[str, Any], as_json: bool) -> None:
     if as_json:
         print(json.dumps(record, indent=2, allow_nan=False))
     else:
-        for key, value in record.items():
-            print(f"{key} = {_fmt(value) if value is not None else 'n/a'}")
+        print("\n".join(_record_lines(record)))
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -338,126 +391,37 @@ def _require(args: argparse.Namespace, parser: argparse.ArgumentParser, *names: 
             parser.error(f"suite {args.suite!r} requires --{name.replace('_', '-')}")
 
 
+# Verify budgets: one suite runs at the budget given on the command line;
+# the coupling test is 4 sigma on varsigma tails for m <= 6, tau tails m <= 8.
+_VERIFY_COUPLING = (4.0, 6, 8)  # sigmas, largest m of the varsigma and tau tails
+_POINT = ("alpha", "beta", "n")
+# suite -> (options it requires, its check on the options and the chain they name)
+_SUITES = {
+    "bounds": (_POINT, lambda a, p: _check_bounds(evaluate_point(p, a.n))),
+    "stein-nb": (_POINT, lambda a, p: _stein_nb(p, a.n, a.seed, a.subsets)),
+    "stein-binomial": (_POINT, lambda a, p: _stein_binomial(p, a.n, a.seed, a.subsets)),
+    "coupling": (("alpha", "beta"), lambda a, p: _coupling(p, a.seed, a.samples, *_VERIFY_COUPLING)),
+    "mc-exact": (_POINT, lambda a, p: _mc_exact(p, a.n, a.samples, a.seed, a.tol)),
+    "lemma21": (_POINT, lambda a, p: _lemma21(p, a.n)),
+    "lemma22": ((), lambda a, p: _lemma22(a.step, a.n_max)),
+    "lemma24": (_POINT, lambda a, p: _lemma24(p, a.n, [a.index] if a.index else range(1, a.n + 1))),
+}
+
+
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    suite = args.suite
-    if suite == "lemma22":
-        step = args.step
-        values = np.arange(step, 1.0, step)
-        violations = 0
-        cells = 0
-        for alpha in values:
-            for beta in values:
-                moments_n = [
-                    moments_closed_form(ChainParams(float(alpha), float(beta)), n)
-                    for n in range(2, args.n_max + 1)
-                ]
-                for moment in moments_n:
-                    cells += 1
-                    if moment.variance >= moment.mean and not beta > alpha:
-                        violations += 1
-        print(f"scanned {cells} cells, {violations} violations")
-        print(f"suite lemma22: {'PASS' if violations == 0 else 'FAIL'}")
-        return 0 if violations == 0 else 1
-
-    _require(args, parser, "alpha", "beta")
-    params = ChainParams(args.alpha, args.beta)
-
-    if suite == "coupling":
-        runs = coupling_mod.sample_meeting_times(params, args.samples, args.seed)
-        split = abs(params.beta - params.alpha)
-        amax = max(params.alpha, params.beta)
-        ok = runs.absorption_violations == 0
-        for m in range(1, 7):
-            target = split ** (m - 1)
-            sigma = math.sqrt(target * (1.0 - target) / args.samples)
-            gap = abs(runs.varsigma_tail(m) - target)
-            ok = ok and gap <= 4.0 * sigma + 1e-12
-            print(f"P(varsigma >= {m}): empirical {runs.varsigma_tail(m):.6f} target {target:.6f}")
-        for m in range(1, 9):
-            cap = amax ** (m - 1)
-            sigma = math.sqrt(cap * (1.0 - cap) / args.samples)
-            ok = ok and runs.tau_tail(m) <= cap + 4.0 * sigma + 1e-12
-        print(f"absorption violations: {runs.absorption_violations}")
-        print(f"suite coupling: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
-
-    _require(args, parser, "n")
-    n = args.n
-
-    if suite == "bounds":
-        row = evaluate_point(params, n, exact=True)
-        verdict = _check_bounds(row)
-        _print_record(row, as_json=False)
-        print(f"suite bounds: {'PASS' if verdict != 'fail' else 'FAIL'}")
-        return 0 if verdict != "fail" else 1
-
-    if suite == "lemma21":
-        consts = bounds_mod.bound_constants(params)
-        value = shift_tv(exact_pmf(params, n, start="state0"))
-        limit = bounds_mod.gamma_fn(consts, n)
-        ok = value <= limit
-        print(f"shift TV = {value:.6g}, gamma(n) = {limit:.6g}, slack = {limit - value:.6g}")
-        print(f"suite lemma21: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
-
-    if suite == "lemma24":
-        indices = [args.index] if args.index is not None else range(1, n + 1)
-        worst_sup = worst_delta = -math.inf
-        ok = True
-        for i in indices:
-            report = stein_mod.verify_lemma24(params, n, i)
-            ok = ok and report.ok
-            worst_sup = max(worst_sup, report.tv2 - report.rhs_sup)
-            worst_delta = max(worst_delta, report.probe_max - report.rhs_delta)
-        print(f"worst sup-side margin: {-worst_sup:.6g}")
-        print(f"worst probe-side margin: {-worst_delta:.6g}")
-        print(f"suite lemma24: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
-
-    if suite == "stein-nb":
-        setup = stein_mod.NbSteinSetup.from_chain(params, n)
-        rng = np.random.default_rng(args.seed)
-        top = setup.target.mass.size - 1
-        worst_resid = 0.0
-        worst_margin = math.inf
-        ok = True
-        for _ in range(args.subsets):
-            solution = stein_mod.solve_nb_stein(setup, _random_subset(rng, top))
-            report = stein_mod.check_nb_delta_bound(solution, setup.a)
-            worst_resid = max(worst_resid, solution.residual_sup)
-            worst_margin = min(worst_margin, report.margin)
-            ok = ok and report.ok and solution.residual_sup <= 1e-9
-        print(f"subsets: {args.subsets}, max residual: {worst_resid:.3g}")
-        print(f"min slack of sup|dg'| <= 1/a: {worst_margin:.6g}")
-        print(f"suite stein-nb: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
-
-    if suite == "stein-binomial":
-        fit = fit_binomial(params, n)
-        rng = np.random.default_rng(args.seed)
-        worst_resid = 0.0
-        ok = True
-        for _ in range(args.subsets):
-            subset = _random_subset(rng, fit.m + 16)
-            solution = stein_mod.solve_binomial_stein(fit.m, fit.theta, subset)
-            report = stein_mod.check_binomial_lemma31(solution, fit.m, fit.theta, subset)
-            worst_resid = max(worst_resid, solution.residual_sup)
-            ok = ok and report.ok and solution.residual_sup <= 1e-9
-        print(f"subsets: {args.subsets}, max residual: {worst_resid:.3g}")
-        print(f"suite stein-binomial: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
-
-    if suite == "mc-exact":
-        sums = coupling_mod.sample_sums(params, n, "stationary", args.samples, args.seed)
-        empirical = coupling_mod.empirical_pmf(sums, support_max=n)
-        value = tv_distance(empirical, exact_pmf(params, n))
-        ok = value <= args.tol
-        print(f"TV(empirical, exact) = {value:.6g} with {args.samples} samples (tol {args.tol})")
-        print(f"suite mc-exact: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
-
-    parser.error(f"unknown suite {suite!r}")
-    return 2
+    required, check = _SUITES[args.suite]
+    _require(args, parser, *required)
+    if args.suite == "lemma24" and args.index is not None and args.index > args.n:
+        parser.error(f"--index {args.index} exceeds --n {args.n}")
+    params = ChainParams(args.alpha, args.beta) if required else None
+    try:
+        ok, lines = check(args, params)
+    except (RegimeError, DegenerateFitError) as exc:
+        parser.error(f"suite {args.suite!r} does not apply to these inputs: {exc}")
+    for line in lines:
+        print(line)
+    print(f"suite {args.suite}: {'FAIL' if ok is False else 'PASS'}")
+    return 1 if ok is False else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
     verify = sub.add_parser("verify", help="run one verification suite")
-    verify.add_argument("suite", choices=_VERIFY_SUITES)
+    verify.add_argument("suite", choices=tuple(_SUITES))
     verify.add_argument("--alpha", type=_probability)
     verify.add_argument("--beta", type=_probability)
     verify.add_argument("--n", type=_positive_int)

@@ -46,6 +46,10 @@ PMF_TOL = 1e-12
 _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
 
+# Largest relative rounding error ``moments_closed_form`` accepts from its
+# cancelling closed form before it switches to the covariance sum.
+_MOMENT_RTOL = 1e-12
+
 Start = Union[str, Sequence[float]]
 
 
@@ -291,19 +295,57 @@ class MomentSummary:
             raise ValueError(f"variance must be non-negative, got {self.variance!r}")
 
 
+def _lag_weight_sum(n: int, d: float) -> float:
+    """sum_{k=1}^{n-1} (n - k) * (1 - d)^k as a binomial series in d.
+
+    Expanding (1 - d)^k and summing over k by the hockey-stick identity gives
+    C(n, 2) + sum_{j>=1} C(n + 1, j + 2) * (-d)^j.  Successive terms shrink by
+    d * (n - 1 - j) / (j + 3) < n*d / 4, so for n*d well below 1 the sum is
+    dominated by its first term and accurate to a few roundings.
+    """
+    total = n * (n - 1) / 2.0
+    term = -d * (n + 1) * n * (n - 1) / 6.0
+    j = 1
+    while abs(term) > _EPS * total:
+        total += term
+        term *= -d * (n - 1 - j) / (j + 3)
+        j += 1
+    return total
+
+
 def moments_closed_form(params: ChainParams, n: int) -> MomentSummary:
-    """Mean n*p and variance n*p*(1-p) + n*a0 - a1 + a1*(beta-alpha)^n."""
+    """Mean n*p and variance n*p*(1-p) + n*a0 - a1 + a1*(beta-alpha)^n.
+
+    The variance form cancels terms of size n*a0 and a1 to leave the
+    variance, so its rounding error is about eps times their size.  Near
+    alpha -> 0, beta -> 1 with n*(1 - beta + alpha) small those terms grow
+    like 1/(1 - beta + alpha)^2 while the variance stays near p*p0*n^2 (at
+    alpha = 1e-12, beta = 1 - 1e-12, n = 10 the form evaluates to 0 for 25).  When the
+    cancellation could cost more than ``_MOMENT_RTOL`` relative, the
+    variance is taken from the covariance sum
+    n*p*p0 + 2*p*p0*sum_{k=1}^{n-1} (n - k)*(beta - alpha)^k instead, with
+    1 - (beta - alpha) evaluated as (1 - beta) + alpha; that happens only
+    for beta > alpha and n*(1 - beta + alpha) below about 0.03, where the
+    sum's series converges at once.  ``p`` comes from ``stationary_law``.
+    Inputs that stay well-conditioned keep the closed form's bits.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     a, b = params.alpha, params.beta
+    law = stationary_law(params)
+    p, p0 = law.p, law.p0
     delta = b - a
     denom = 1.0 - delta
-    p = a / denom
     a0 = 2.0 * a * (1.0 - b) * delta / denom**3
     a1 = a0 / denom
-    mean = n * p
     variance = n * p * (1.0 - p) + n * a0 - a1 + a1 * delta**n
-    return MomentSummary(mean=mean, variance=variance, a0=a0, a1=a1)
+    cancelled = n * abs(a0) + abs(a1) * (1.0 + abs(delta) ** n)
+    if delta > 0.0 and not cancelled * _EPS <= _MOMENT_RTOL * variance:
+        denom = (1.0 - b) + a
+        a0 = 2.0 * a * (1.0 - b) * delta / denom**3
+        a1 = a0 / denom
+        variance = n * p * p0 + 2.0 * p * p0 * _lag_weight_sum(n, denom)
+    return MomentSummary(mean=n * p, variance=variance, a0=a0, a1=a1)
 
 
 def moments_from_pmf(pmf: "Pmf | Sequence[float]") -> tuple[float, float]:

@@ -227,20 +227,25 @@ class MeetingSamples:
 
 # Pair states are encoded as s = 2*z1 + z0; 0 and 3 are the diagonal.
 _SPLIT_10 = 2
-_SPLIT_01 = 1
 
 
 def _kernel_table(params: ChainParams) -> tuple[np.ndarray, ...]:
-    a, b = params.alpha, params.beta
-    meet0 = min(1.0 - a, 1.0 - b)
-    meet1 = min(a, b)
-    stay_10 = _SPLIT_10 if b > a else _SPLIT_01
-    stay_01 = _SPLIT_01 if b > a else _SPLIT_10
-    t1 = np.array([1.0 - a, meet0, meet0, 1.0 - b])
-    t2 = np.array([1.0 - a, meet0 + meet1, meet0 + meet1, 1.0 - b])
-    out2 = np.full(4, 3, dtype=np.int8)
-    out3 = np.array([3, stay_01, stay_10, 3], dtype=np.int8)
-    return t1, t2, out2, out3
+    """Inverse-cdf tables of ``coupled_transition_law`` by encoded state s.
+
+    A uniform u moves the pair from s to 0 if u < t1[s], to 3 if
+    u < t2[s], and to out3[s] otherwise: the split state the law keeps its
+    leftover mass on, or 3 when it keeps none there.
+    """
+    t1, t2 = np.empty(4), np.empty(4)
+    out3 = np.full(4, 3, dtype=np.int8)
+    for s in range(4):
+        law = coupled_transition_law(params, CoupledState(z1=s >> 1, z0=s & 1))
+        t1[s] = law[(0, 0)]
+        t2[s] = law[(0, 0)] + law[(1, 1)]
+        for z1, z0 in law:
+            if z1 != z0:
+                out3[s] = 2 * z1 + z0
+    return t1, t2, out3
 
 
 def sample_meeting_times(
@@ -259,7 +264,7 @@ def sample_meeting_times(
         raise ValueError("num_samples must be >= 1")
     if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
-    t1, t2, out2, out3 = _kernel_table(params)
+    t1, t2, out3 = _kernel_table(params)
 
     state = np.full(num_samples, _SPLIT_10, dtype=np.int8)
     varsigma = np.zeros(num_samples, dtype=np.int64)
@@ -274,7 +279,7 @@ def sample_meeting_times(
         t += 1
         u = _stream(seed, _PURPOSE_MEETING, t).random(num_samples)
         state = np.where(
-            u < t1[state], np.int8(0), np.where(u < t2[state], out2[state], out3[state])
+            u < t1[state], np.int8(0), np.where(u < t2[state], np.int8(3), out3[state])
         ).astype(np.int8)
         on_diag = (state == 0) | (state == 3)
         violations += int(np.count_nonzero(met & ~on_diag))
@@ -292,7 +297,7 @@ def sample_meeting_times(
         while step < step_cap:
             step += 1
             u = float(rng.random())
-            s = 0 if u < t1[s] else (int(out2[s]) if u < t2[s] else int(out3[s]))
+            s = 0 if u < t1[s] else (3 if u < t2[s] else int(out3[s]))
             if s in (0, 3) and not met[i]:
                 met[i] = True
                 varsigma[i] = step

@@ -194,10 +194,10 @@ def fit_binomial(params: ChainParams, n: int) -> BinFit:
     return _bin_fit_from_moments(moments.mean, moments.variance)
 
 
-def _auto_truncation(dist, cap_hint_mean: float, cap_hint_std: float) -> int:
+def _auto_truncation(quantile: float, cap_hint_mean: float, cap_hint_std: float) -> int:
+    """The 1 - TRUNCATION_MASS quantile, capped at 10*(mean + 10*std)."""
     cap = int(math.ceil(10.0 * (cap_hint_mean + 10.0 * cap_hint_std))) + 1
-    point = int(dist.ppf(1.0 - TRUNCATION_MASS))
-    return max(1, min(point, cap))
+    return max(1, min(int(quantile), cap))
 
 
 def nb_pmf(r: float, q: float, trunc: int | None = None) -> Pmf:
@@ -213,15 +213,14 @@ def nb_pmf(r: float, q: float, trunc: int | None = None) -> Pmf:
         raise ValueError(f"q must lie in (0, 1], got {q!r}")
     if q == 1.0:
         return Pmf(np.ones(1))
-    dist = stats.nbinom(r, q)
     if trunc is None:
         mean = r * (1.0 - q) / q
         std = math.sqrt(mean / q)
-        trunc = _auto_truncation(dist, mean, std)
+        trunc = _auto_truncation(stats.nbinom.ppf(1.0 - TRUNCATION_MASS, r, q), mean, std)
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
-    mass = dist.pmf(np.arange(trunc + 1))
-    return Pmf(mass, tail=float(dist.sf(trunc)))
+    mass = stats.nbinom.pmf(np.arange(trunc + 1), r, q)
+    return Pmf(mass, tail=float(stats.nbinom.sf(trunc, r, q)))
 
 
 def binomial_pmf(m: int, theta: float, trunc: int | None = None) -> Pmf:
@@ -246,10 +245,9 @@ def poisson_pmf(lam: float, trunc: int | None = None) -> Pmf:
         raise ValueError(f"lam must be non-negative, got {lam!r}")
     if lam == 0.0:
         return Pmf(np.ones(1))
-    dist = stats.poisson(lam)
     if trunc is None:
-        trunc = _auto_truncation(dist, lam, math.sqrt(lam))
+        trunc = _auto_truncation(stats.poisson.ppf(1.0 - TRUNCATION_MASS, lam), lam, math.sqrt(lam))
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
-    mass = dist.pmf(np.arange(trunc + 1))
-    return Pmf(mass, tail=float(dist.sf(trunc)))
+    mass = stats.poisson.pmf(np.arange(trunc + 1), lam)
+    return Pmf(mass, tail=float(stats.poisson.sf(trunc, lam)))

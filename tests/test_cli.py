@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from markovbin import ChainParams
 from markovbin.cli import SweepConfig, main, run_sweep
+from markovbin.stein import verify_lemma24
 
 
 def run(argv):
@@ -159,6 +161,32 @@ class TestVerifyCommand:
             ["verify", "lemma24", "--alpha", "0.3", "--beta", "0.6", "--n", "40",
              "--index", "20"]
         ) == 0
+
+    def test_lemma24_all_indices(self, capsys):
+        params, n = ChainParams(0.3, 0.6), 12
+        assert run(["verify", "lemma24", "--alpha", "0.3", "--beta", "0.6", "--n", "12"]) == 0
+        printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        reports = [verify_lemma24(params, n, i) for i in range(1, n + 1)]
+        sup = min(report.rhs_sup - report.tv2 for report in reports)
+        probe = min(report.rhs_delta - report.probe_max for report in reports)
+        assert printed["worst sup-side margin"] == f"{sup:.6g}"
+        assert printed["worst probe-side margin"] == f"{probe:.6g}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stein-binomial", "--alpha", "0.1", "--beta", "0.8", "--n", "10"],
+            ["stein-nb", "--alpha", "0.8", "--beta", "0.1", "--n", "10"],
+            ["stein-binomial", "--alpha", "0.9", "--beta", "0.1", "--n", "10"],
+            ["lemma24", "--alpha", "0.3", "--beta", "0.6", "--n", "5", "--index", "9"],
+        ],
+        ids=["binomial-overdispersed", "nb-underdispersed", "binomial-degenerate", "index-above-n"],
+    )
+    def test_inapplicable_inputs_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["verify", *argv])
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_coupling_small_run(self):
         assert run(

@@ -263,6 +263,22 @@ class TestMoments:
             assert mean == pytest.approx(summary.mean, rel=1e-10)
             assert variance == pytest.approx(summary.variance, rel=1e-10)
 
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-8])
+    @pytest.mark.parametrize("n", [1, 2, 10, 50])
+    def test_near_frozen_chain(self, eps, n):
+        # alpha -> 0, beta -> 1: the closed-form variance cancels terms of
+        # size 1/eps^2 and used to return 0 (eps=1e-12) or 32 (eps=1e-9)
+        params = ChainParams(eps, 1.0 - eps)
+        summary = moments_closed_form(params, n)
+        mean, variance = moments_from_pmf(exact_pmf(params, n))
+        assert summary.mean == pytest.approx(mean, rel=1e-9)
+        assert summary.variance == pytest.approx(variance, rel=1e-9)
+
+    def test_near_frozen_point_is_overdispersed(self):
+        row = evaluate_point(ChainParams(1e-12, 1.0 - 1e-12), 10)
+        assert row["status"] == "ok"
+        assert row["regime"] == "overdispersed"
+
 
 class TestMomentsFromPmf:
     def test_point_mass(self):
