@@ -22,15 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import ChainParams, stationary_law
-from .fit import (
-    BinFit,
-    ConsistencyError,
-    Regime,
-    RegimeError,
-    classify_regime,
-    fit_binomial,
-)
+from .core import ChainParams, moments_closed_form, stationary_law
+from .fit import BinFit, ConsistencyError, Regime, RegimeError, _fit, _regime, classify_regime
 
 __all__ = [
     "BoundConstants",
@@ -119,13 +112,28 @@ class BoundReport:
         )
 
 
-def _bracket_terms(consts: BoundConstants, n: int, geo_base: float) -> dict[str, float]:
+def _report(
+    regime: Regime,
+    consts: BoundConstants,
+    n: int,
+    prefactor: float,
+    geo_base: float,
+    epsilon_term: float | None = None,
+) -> BoundReport:
+    """prefactor * [2*K1/sqrt(n) + 4*K2/n + geo_base^floor(n/4)], plus the
+    binomial epsilon term when given, with its breakdown."""
     # floor(n/4) by integer division; n < 4 makes the geometric term 1.
-    return {
+    breakdown = {
+        "prefactor": prefactor,
         "bracket_sqrt": 2.0 * consts.k1 / math.sqrt(n),
         "bracket_linear": 4.0 * consts.k2 / n,
         "bracket_geometric": geo_base ** (n // 4),
     }
+    value = prefactor * sum(breakdown[key] for key in _BRACKET_KEYS)
+    if epsilon_term is not None:
+        breakdown["epsilon_term"] = epsilon_term
+        value += epsilon_term
+    return BoundReport(regime, value, min(1.0, value), breakdown)
 
 
 def bound_nb(params: ChainParams, n: int, *, check_regime: bool = True) -> BoundReport:
@@ -136,39 +144,27 @@ def bound_nb(params: ChainParams, n: int, *, check_regime: bool = True) -> Bound
     the alpha == beta line, where the prefactor C0 vanishes and the bound
     is 0).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     regime = classify_regime(params, n)
     if check_regime and regime is Regime.UNDERDISPERSED:
         raise RegimeError("underdispersed inputs: use bound_binomial")
     consts = bound_constants(params)
-    breakdown = _bracket_terms(consts, n, params.beta)
-    breakdown = {"prefactor": consts.c0, **breakdown}
-    bracket = sum(breakdown[key] for key in _BRACKET_KEYS)
-    value = consts.c0 * bracket
-    return BoundReport(
-        regime=regime,
-        bound_value=value,
-        clipped_value=min(1.0, value),
-        term_breakdown=breakdown,
-    )
+    return _report(regime, consts, n, consts.c0, params.beta)
 
 
-def bound_binomial(
-    params: ChainParams, n: int, fit: BinFit, *, check_regime: bool = True
-) -> BoundReport:
+def bound_binomial(params: ChainParams, n: int, fit: BinFit) -> BoundReport:
     """TV error bound for the matched binomial approximation.
 
-    ``fit`` must be the fit produced for (params, n); this is re-derived and
-    checked.  On the alpha == beta line both prefactor terms and epsilon
-    vanish, so the bound is exactly 0.
+    Applies in the underdispersed regime only (RegimeError otherwise).
+    ``fit`` must be the fit for (params, n): it is checked against the one
+    the shared fit path in ``markovbin.fit`` derives from the same moments.
+    On the alpha == beta line both prefactor terms and epsilon vanish, so
+    the bound is exactly 0.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    regime = classify_regime(params, n)
-    if check_regime and regime is not Regime.UNDERDISPERSED:
+    moments = moments_closed_form(params, n)
+    regime = _regime(params, moments)
+    if regime is not Regime.UNDERDISPERSED:
         raise RegimeError("non-underdispersed inputs: use bound_nb")
-    expected = fit_binomial(params, n)
+    expected = _fit(params, n, moments, regime)
     if fit.m != expected.m or abs(fit.m_tilde - expected.m_tilde) > 1e-9 * max(
         1.0, abs(expected.m_tilde)
     ):
@@ -176,23 +172,11 @@ def bound_binomial(
 
     consts = bound_constants(params)
     p = stationary_law(params).p
-    amax = max(params.alpha, params.beta)
     one_minus_theta = 1.0 - fit.theta
     prefactor = (
         abs(p - fit.theta) / one_minus_theta * consts.c1
         + abs(params.beta - params.alpha) / one_minus_theta * consts.c2
     )
     epsilon_term = fit.theta**2 * fit.epsilon / (n * p * one_minus_theta)
-    breakdown = {
-        "prefactor": prefactor,
-        **_bracket_terms(consts, n, amax),
-        "epsilon_term": epsilon_term,
-    }
-    bracket = sum(breakdown[key] for key in _BRACKET_KEYS)
-    value = prefactor * bracket + epsilon_term
-    return BoundReport(
-        regime=regime,
-        bound_value=value,
-        clipped_value=min(1.0, value),
-        term_breakdown=breakdown,
-    )
+    amax = max(params.alpha, params.beta)
+    return _report(regime, consts, n, prefactor, amax, epsilon_term)

@@ -8,12 +8,15 @@ Output files are deterministic for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import sys
+import tempfile
 from dataclasses import dataclass, asdict
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -22,15 +25,14 @@ from . import coupling as coupling_mod
 from . import stein as stein_mod
 from .core import ChainParams, exact_pmf, moments_closed_form, shift_tv, tv_distance
 from .fit import (
+    BinFit,
     DegenerateFitError,
     Regime,
     RegimeError,
-    classify_regime,
-    binomial_pmf,
+    _fit,
+    _reference,
+    _regime,
     fit_binomial,
-    fit_negative_binomial,
-    nb_pmf,
-    poisson_pmf,
 )
 
 __all__ = ["SweepConfig", "cmd_fit", "cmd_sweep", "cmd_verify", "run_sweep", "main"]
@@ -69,28 +71,10 @@ class SweepConfig:
             raise ValueError(f"format must be csv or json, got {self.format!r}")
 
 
-def _fitted_reference(params: ChainParams, n: int, regime: Regime):
-    """Fit fields, reference pmf and bound report for one grid point."""
-    if regime is Regime.UNDERDISPERSED:
-        fit = fit_binomial(params, n)
-        fields = {"m_tilde": fit.m_tilde, "m": fit.m, "theta": fit.theta, "epsilon": fit.epsilon}
-        return fields, binomial_pmf(fit.m, fit.theta), bounds_mod.bound_binomial(params, n, fit)
-    fit = fit_negative_binomial(params, n)
-    fields = {"poisson_limit": fit.poisson_limit}
-    if fit.poisson_limit:
-        reference = poisson_pmf(fit.lam)
-    else:
-        fields.update(r=fit.r, q=fit.q)
-        reference = nb_pmf(fit.r, fit.q)
-    return fields, reference, bounds_mod.bound_nb(params, n)
-
-
-def evaluate_point(
-    params: ChainParams, n: int, *, exact: bool = True
-) -> dict[str, Any]:
+def evaluate_point(params: ChainParams, n: int, *, exact: bool = True) -> dict[str, Any]:
     """One report record: moments, regime, fit, bound and optional exact TV."""
     moments = moments_closed_form(params, n)
-    regime = classify_regime(params, n)
+    regime = _regime(params, moments)
     row: dict[str, Any] = {
         "alpha": params.alpha,
         "beta": params.beta,
@@ -102,11 +86,19 @@ def evaluate_point(
         **dict.fromkeys((*_FIT_FIELDS, "bound", "bound_clipped", "tail_mass", "tv_exact")),
     }
     try:
-        fields, reference, report = _fitted_reference(params, n, regime)
+        fit = _fit(params, n, moments, regime)
     except DegenerateFitError:
         row["status"] = "degenerate_fit"
         return row
-    row.update(fields)
+    if isinstance(fit, BinFit):
+        row.update(m_tilde=fit.m_tilde, m=fit.m, theta=fit.theta, epsilon=fit.epsilon)
+        report = bounds_mod.bound_binomial(params, n, fit)
+    else:
+        row["poisson_limit"] = fit.poisson_limit
+        if not fit.poisson_limit:
+            row.update(r=fit.r, q=fit.q)
+        report = bounds_mod.bound_nb(params, n)
+    reference = _reference(fit)
     row["bound"] = report.bound_value
     row["bound_clipped"] = report.clipped_value
     row["tail_mass"] = reference.tail
@@ -285,10 +277,7 @@ def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
                     row["check_lemma24"] = _verdict(lemma24)
                 rows.append(row)
                 index += 1
-    if config.format == "csv":
-        _write_csv(config.output_path, rows)
-    else:
-        _write_json(config.output_path, config, rows)
+    _write_report(config, rows)
     return rows
 
 
@@ -302,25 +291,43 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _write_csv(path: str, rows: Sequence[dict[str, Any]]) -> None:
-    with open(path, "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[key]) for key in header])
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A new file beside ``path`` that replaces it once the block completes
+    and is deleted on any exception, so a failed write leaves an existing
+    report intact.  It gets the mode a plain ``open(path, "w")`` leaves: the
+    target's own, or 0o666 less the umask for a new report."""
+    target = os.path.realpath(path)
+    umask = os.umask(0)
+    os.umask(umask)
+    mode = os.stat(target).st_mode & 0o7777 if os.path.exists(target) else 0o666 & ~umask
+    fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=".markovbin-", dir=os.path.dirname(target))
+    try:
+        with os.fdopen(fd, "w", newline="\n") as handle:
+            yield handle
+        os.chmod(temp, mode)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
-def _write_json(path: str, config: SweepConfig, rows: Sequence[dict[str, Any]]) -> None:
-    payload = {
-        "schema_version": 1,
-        "kind": "markovbin-sweep",
-        "config": asdict(config),
-        "rows": list(rows),
-    }
-    with open(path, "w", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, allow_nan=False)
-        handle.write("\n")
+def _write_report(config: SweepConfig, rows: Sequence[dict[str, Any]]) -> None:
+    with _replacing(config.output_path) as handle:
+        if config.format == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            header = list(rows[0].keys())
+            writer.writerow(header)
+            writer.writerows([_fmt(row[key]) for key in header] for row in rows)
+        else:
+            payload = {
+                "schema_version": 1,
+                "kind": "markovbin-sweep",
+                "config": asdict(config),
+                "rows": list(rows),
+            }
+            json.dump(payload, handle, indent=2, allow_nan=False)
+            handle.write("\n")
 
 
 def _probability(text: str) -> float:
@@ -385,12 +392,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _require(args: argparse.Namespace, parser: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            parser.error(f"suite {args.suite!r} requires --{name.replace('_', '-')}")
-
-
 # Verify budgets: one suite runs at the budget given on the command line;
 # the coupling test is 4 sigma on varsigma tails for m <= 6, tau tails m <= 8.
 _VERIFY_COUPLING = (4.0, 6, 8)  # sigmas, largest m of the varsigma and tau tails
@@ -410,7 +411,9 @@ _SUITES = {
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     required, check = _SUITES[args.suite]
-    _require(args, parser, *required)
+    for name in required:
+        if getattr(args, name) is None:
+            parser.error(f"suite {args.suite!r} requires --{name}")
     if args.suite == "lemma24" and args.index is not None and args.index > args.n:
         parser.error(f"--index {args.index} exceeds --n {args.n}")
     params = ChainParams(args.alpha, args.beta) if required else None
@@ -438,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--n", type=_positive_int, required=True)
     fit.add_argument("--exact", action="store_true", help="also compute the exact TV (O(n^2))")
     fit.add_argument("--json", action="store_true", help="emit JSON instead of key = value lines")
+    fit.set_defaults(run=cmd_fit)
 
     sweep = sub.add_parser("sweep", help="evaluate a parameter grid into CSV/JSON")
     sweep.add_argument("--alphas", type=_probability, nargs="+", required=True)
@@ -447,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--output", required=True)
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    sweep.set_defaults(run=cmd_sweep)
 
     verify = sub.add_parser("verify", help="run one verification suite")
     verify.add_argument("suite", choices=tuple(_SUITES))
@@ -460,17 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--step", type=_probability, default=0.05, help="grid step for lemma22")
     verify.add_argument("--n-max", type=_positive_int, default=200, help="largest n for lemma22")
     verify.add_argument("--tol", type=float, default=0.005, help="TV tolerance for mc-exact")
+    # usage errors found after parsing are reported against verify's options
+    verify.set_defaults(run=lambda args: cmd_verify(args, verify))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "fit":
-        return cmd_fit(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    return cmd_verify(args, parser)
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

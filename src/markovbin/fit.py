@@ -7,6 +7,10 @@ binomial Bi(m, theta) with m = floor(m_tilde), m_tilde = (E S)^2 /
 (E S - Var S) and theta = E S / m.  Reference mass functions are evaluated
 through scipy.stats (log-gamma based, stable at large parameters) and carry
 their truncation tail mass.
+
+One private path serves every caller: the moments pick the regime
+(``_regime``), the regime the fit (``_fit``) and the fit the reference law
+(``_reference``); a caller holding the moments passes them down.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from enum import Enum
 import numpy as np
 from scipy import stats
 
-from .core import ChainParams, Pmf, moments_closed_form, stationary_law
+from .core import ChainParams, MomentSummary, Pmf, moments_closed_form, stationary_law
 
 __all__ = [
     "EQUIDISPERSION_RTOL",
@@ -108,14 +112,8 @@ def _classify_moments(mean: float, variance: float) -> Regime:
     return Regime.OVERDISPERSED if variance > mean else Regime.UNDERDISPERSED
 
 
-def classify_regime(params: ChainParams, n: int) -> Regime:
-    """Compare Var S against E S and name the matching regime.
-
-    As a self-check, a non-underdispersed outcome must come with
-    beta >= alpha; a violation cannot be produced by valid inputs and is
-    raised as a ConsistencyError.
-    """
-    moments = moments_closed_form(params, n)
+def _regime(params: ChainParams, moments: MomentSummary) -> Regime:
+    """The regime of the moments, with the self-check of ``classify_regime``."""
     regime = _classify_moments(moments.mean, moments.variance)
     if regime is not Regime.UNDERDISPERSED and not params.beta >= params.alpha:
         raise ConsistencyError(
@@ -126,35 +124,16 @@ def classify_regime(params: ChainParams, n: int) -> Regime:
 
 
 def _nb_fit_from_moments(mean: float, variance: float) -> NbFit:
-    regime = _classify_moments(mean, variance)
-    if regime is Regime.UNDERDISPERSED:
-        raise RegimeError(
-            "variance < mean: the negative binomial match does not apply, use fit_binomial"
-        )
-    if regime is Regime.EQUIDISPERSED:
+    """Negative binomial (Poisson at equidispersion) for Var S >= E S."""
+    if _classify_moments(mean, variance) is Regime.EQUIDISPERSED:
         return NbFit(r=math.inf, q=1.0, poisson_limit=True, lam=mean)
     r = mean * mean / (variance - mean)
     q = mean / variance
     return NbFit(r=r, q=q, poisson_limit=False, lam=mean)
 
 
-def fit_negative_binomial(params: ChainParams, n: int) -> NbFit:
-    """Negative binomial matched to the exact mean and variance of S.
-
-    Requires the overdispersed (or equidispersed) regime; the equidispersed
-    case returns the Poisson limit with mean E S.
-    """
-    classify_regime(params, n)  # runs the consistency check
-    moments = moments_closed_form(params, n)
-    return _nb_fit_from_moments(moments.mean, moments.variance)
-
-
 def _bin_fit_from_moments(mean: float, variance: float) -> BinFit:
-    regime = _classify_moments(mean, variance)
-    if regime is not Regime.UNDERDISPERSED:
-        raise RegimeError(
-            "variance >= mean: the binomial match does not apply, use fit_negative_binomial"
-        )
+    """Binomial matched to underdispersed moments."""
     m_tilde = mean * mean / (mean - variance)
     m = math.floor(m_tilde)
     if m < 1:
@@ -168,18 +147,11 @@ def _bin_fit_from_moments(mean: float, variance: float) -> BinFit:
     return BinFit(m_tilde=m_tilde, m=m, theta=theta, epsilon=m_tilde - m)
 
 
-def fit_binomial(params: ChainParams, n: int) -> BinFit:
-    """Binomial matched to the exact mean and variance of S.
-
-    Requires the underdispersed regime.  Flooring can in corner cases push
-    theta = E S / m to 1 or beyond (small variance with E S close under an
-    integer); that raises DegenerateFitError rather than clamping.
-    """
-    regime = classify_regime(params, n)
+def _fit(params: ChainParams, n: int, moments: MomentSummary, regime: Regime) -> NbFit | BinFit:
+    """The fit the regime calls for: binomial when underdispersed, else the
+    negative binomial (the Poisson limit at equidispersion)."""
     if regime is not Regime.UNDERDISPERSED:
-        raise RegimeError(
-            "variance >= mean: the binomial match does not apply, use fit_negative_binomial"
-        )
+        return _nb_fit_from_moments(moments.mean, moments.variance)
     p = stationary_law(params).p
     if params.beta == params.alpha:
         # The sum is exactly Bi(n, alpha); going through the moment quotient
@@ -190,8 +162,48 @@ def fit_binomial(params: ChainParams, n: int) -> BinFit:
         # One step is exactly Bernoulli(p): m_tilde = 1 in real arithmetic,
         # another integer point where flooring the float quotient misfires.
         return BinFit(m_tilde=1.0, m=1, theta=p, epsilon=0.0)
-    moments = moments_closed_form(params, n)
     return _bin_fit_from_moments(moments.mean, moments.variance)
+
+
+def classify_regime(params: ChainParams, n: int) -> Regime:
+    """Compare Var S against E S and name the matching regime.
+
+    As a self-check, a non-underdispersed outcome must come with
+    beta >= alpha; a violation cannot be produced by valid inputs and is
+    raised as a ConsistencyError.
+    """
+    return _regime(params, moments_closed_form(params, n))
+
+
+def fit_negative_binomial(params: ChainParams, n: int) -> NbFit:
+    """Negative binomial matched to the exact mean and variance of S.
+
+    Requires the overdispersed (or equidispersed) regime; the equidispersed
+    case returns the Poisson limit with mean E S.
+    """
+    moments = moments_closed_form(params, n)
+    regime = _regime(params, moments)
+    if regime is Regime.UNDERDISPERSED:
+        raise RegimeError(
+            "variance < mean: the negative binomial match does not apply, use fit_binomial"
+        )
+    return _fit(params, n, moments, regime)
+
+
+def fit_binomial(params: ChainParams, n: int) -> BinFit:
+    """Binomial matched to the exact mean and variance of S.
+
+    Requires the underdispersed regime.  Flooring can in corner cases push
+    theta = E S / m to 1 or beyond (small variance with E S close under an
+    integer); that raises DegenerateFitError rather than clamping.
+    """
+    moments = moments_closed_form(params, n)
+    regime = _regime(params, moments)
+    if regime is not Regime.UNDERDISPERSED:
+        raise RegimeError(
+            "variance >= mean: the binomial match does not apply, use fit_negative_binomial"
+        )
+    return _fit(params, n, moments, regime)
 
 
 def _auto_truncation(quantile: float, cap_hint_mean: float, cap_hint_std: float) -> int:
@@ -251,3 +263,10 @@ def poisson_pmf(lam: float, trunc: int | None = None) -> Pmf:
         raise ValueError("truncation must be non-negative")
     mass = stats.poisson.pmf(np.arange(trunc + 1), lam)
     return Pmf(mass, tail=float(stats.poisson.sf(trunc, lam)))
+
+
+def _reference(fit: NbFit | BinFit) -> Pmf:
+    """The reference law of a fit: binomial, Poisson or negative binomial."""
+    if isinstance(fit, BinFit):
+        return binomial_pmf(fit.m, fit.theta)
+    return poisson_pmf(fit.lam) if fit.poisson_limit else nb_pmf(fit.r, fit.q)

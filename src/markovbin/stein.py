@@ -46,6 +46,10 @@ __all__ = [
     "verify_lemma24",
 ]
 
+_STEIN_TOL = 1e-9  # slack on the Stein-solution bounds, for solver rounding
+_LEMMA24_TOL = 1e-12  # slack on the Lemma 2.4 inequalities, for exact-law rounding
+_BINOMIAL_EXTEND = 64  # how far past m binomial Stein solutions are tabulated
+
 
 @dataclass(frozen=True, eq=False)
 class NbSteinSetup:
@@ -62,24 +66,22 @@ class NbSteinSetup:
             raise ValueError(f"b must lie in [0, 1), got {self.b!r}")
 
     @classmethod
-    def from_rq(cls, r: float, q: float, trunc: int | None = None) -> "NbSteinSetup":
+    def from_rq(cls, r: float, q: float) -> "NbSteinSetup":
         """Setup for NB(r, q): a = r*(1-q), b = 1-q."""
         if not 0.0 < q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {q!r}")
-        return cls(a=r * (1.0 - q), b=1.0 - q, target=nb_pmf(r, q, trunc))
+        return cls(a=r * (1.0 - q), b=1.0 - q, target=nb_pmf(r, q))
 
     @classmethod
-    def poisson(cls, lam: float, trunc: int | None = None) -> "NbSteinSetup":
+    def poisson(cls, lam: float) -> "NbSteinSetup":
         """Poisson setup, the b = 0 reduction of the operator."""
-        return cls(a=lam, b=0.0, target=poisson_pmf(lam, trunc))
+        return cls(a=lam, b=0.0, target=poisson_pmf(lam))
 
     @classmethod
-    def from_chain(cls, params: ChainParams, n: int, trunc: int | None = None) -> "NbSteinSetup":
+    def from_chain(cls, params: ChainParams, n: int) -> "NbSteinSetup":
         """Setup for the moment-matched fit of the n-step sum."""
         fit = fit_negative_binomial(params, n)
-        if fit.poisson_limit:
-            return cls.poisson(fit.lam, trunc)
-        return cls.from_rq(fit.r, fit.q, trunc)
+        return cls.poisson(fit.lam) if fit.poisson_limit else cls.from_rq(fit.r, fit.q)
 
     @property
     def mean(self) -> float:
@@ -158,38 +160,32 @@ class DeltaBoundReport:
     margin: float
 
 
-def check_nb_delta_bound(
-    solution: SteinSolution, a: float, tol: float = 1e-9
-) -> DeltaBoundReport:
+def check_nb_delta_bound(solution: SteinSolution, a: float) -> DeltaBoundReport:
     """Check sup_j |g(j+2) - g(j+1)| <= 1/a, returning the slack."""
     bound = 1.0 / a
     return DeltaBoundReport(
-        ok=solution.delta_sup <= bound + tol,
+        ok=solution.delta_sup <= bound + _STEIN_TOL,
         delta_sup=solution.delta_sup,
         bound=bound,
         margin=bound - solution.delta_sup,
     )
 
 
-def solve_binomial_stein(
-    m: int, theta: float, subset: Iterable[int], extend: int = 64
-) -> SteinSolution:
+def solve_binomial_stein(m: int, theta: float, subset: Iterable[int]) -> SteinSolution:
     """Solve the binomial Stein equation on 0..m and extend past the support.
 
     On 0..m the equation theta*(m-j) g(j+1) - (1-theta)*j g(j) = 1_A - P(A)
     holds exactly; for j >= m+1 the solution is the constant
     -(1 + theta*1_{m in A} - theta*P(A)) / (m*theta*(1-theta)), which turns
-    the equation into an inequality.  ``subset`` may contain points beyond m
-    (up to m + extend); only its intersection with 0..m carries mass.
-    ``extend`` sets how far past m the solution is tabulated for checks.
+    the equation into an inequality.  The solution is tabulated up to
+    m + _BINOMIAL_EXTEND (64) for the checks; ``subset`` may contain points
+    up to there, but only its intersection with 0..m carries mass.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
-    if extend < 1:
-        raise ValueError("extend must be at least 1")
-    top = m + extend
+    top = m + _BINOMIAL_EXTEND
     members = _normalize_subset(subset, top)
 
     pi = binomial_pmf(m, theta).mass
@@ -248,7 +244,6 @@ def check_binomial_lemma31(
     m: int,
     theta: float,
     subset: Iterable[int],
-    tol: float = 1e-9,
 ) -> BinomialSteinReport:
     """Check the one-sided equation, the difference norm bound
     1/(m*theta*(1-theta)), the exact boundary difference at j = m and the
@@ -273,9 +268,9 @@ def check_binomial_lemma31(
     tail_slope = -float(g[-1])  # Bg grows by (j+1) - j times this past m
 
     ok = (
-        slack >= -tol
-        and solution.delta_sup <= bound + tol
-        and delta_at_m_error <= tol
+        slack >= -_STEIN_TOL
+        and solution.delta_sup <= bound + _STEIN_TOL
+        and delta_at_m_error <= _STEIN_TOL
         and tail_delta_max == 0.0
         and tail_slope >= 0.0
     )
@@ -311,7 +306,7 @@ class Lemma24Report:
     smoothing: float
 
 
-def verify_lemma24(params: ChainParams, n: int, i: int, tol: float = 1e-12) -> Lemma24Report:
+def verify_lemma24(params: ChainParams, n: int, i: int) -> Lemma24Report:
     """Verify both conditional-law comparison inequalities at index i.
 
     The first is checked at its supremum (via twice the TV distance); the
@@ -328,7 +323,7 @@ def verify_lemma24(params: ChainParams, n: int, i: int, tol: float = 1e-12) -> L
 
     tv2 = 2.0 * tv_distance(law1, law_s)
     rhs_sup = consts.c1 * smoothing
-    ok_sup = tv2 <= rhs_sup + tol
+    ok_sup = tv2 <= rhs_sup + _LEMMA24_TOL
 
     # E dh_t(S) = -P(S = t) for the threshold probe h_t, so the probed
     # left side is |F1(t) - F0(t) + (mean1 - mean0) * P(S = t)|.
@@ -345,7 +340,7 @@ def verify_lemma24(params: ChainParams, n: int, i: int, tol: float = 1e-12) -> L
         / (1.0 - amax) ** 2
         * smoothing
     )
-    ok_delta = probe_max <= rhs_delta + tol
+    ok_delta = probe_max <= rhs_delta + _LEMMA24_TOL
 
     return Lemma24Report(
         ok=ok_sup and ok_delta,

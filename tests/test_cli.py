@@ -1,11 +1,28 @@
 import csv
 import json
 import math
+import os
+import stat
 
 import pytest
 
-from markovbin import ChainParams
-from markovbin.cli import SweepConfig, main, run_sweep
+from markovbin import (
+    ChainParams,
+    DegenerateFitError,
+    Regime,
+    binomial_pmf,
+    bound_binomial,
+    bound_nb,
+    classify_regime,
+    exact_pmf,
+    fit_binomial,
+    fit_negative_binomial,
+    moments_closed_form,
+    nb_pmf,
+    poisson_pmf,
+    tv_distance,
+)
+from markovbin.cli import SweepConfig, evaluate_point, main, run_sweep
 from markovbin.stein import verify_lemma24
 
 
@@ -188,6 +205,20 @@ class TestVerifyCommand:
         assert excinfo.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lemma21", "--alpha", "0.3", "--beta", "0.6"],
+            ["lemma24", "--alpha", "0.3", "--beta", "0.6", "--n", "5", "--index", "9"],
+        ],
+        ids=["missing-n", "index-above-n"],
+    )
+    def test_usage_errors_show_verify_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["verify", *argv])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: markovbin verify")
+
     def test_coupling_small_run(self):
         assert run(
             ["verify", "coupling", "--alpha", "0.3", "--beta", "0.6",
@@ -221,3 +252,80 @@ class TestSweepErrors:
                     "--output", str(target)])
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
+
+    def test_failed_write_keeps_existing_report(self, tmp_path):
+        # alpha = 1e-158 overflows the bound constants to inf, which the JSON
+        # writer rejects part way through the report
+        target = tmp_path / "output.json"
+        target.write_bytes(b'{"previous": "report"}\n')
+        with pytest.raises(ValueError):
+            run(["sweep", "--alphas", "0.3", "1e-158", "--betas", "0.5", "--ns", "3",
+                 "--format", "json", "--output", str(target)])
+        assert target.read_bytes() == b'{"previous": "report"}\n'
+        assert os.listdir(tmp_path) == ["output.json"]
+
+    def test_report_mode_matches_plain_open(self, tmp_path):
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("old report\n")
+        kept.chmod(0o640)
+        for target in (fresh, kept):
+            assert run(["sweep", "--alphas", "0.3", "--betas", "0.6", "--ns", "4",
+                        "--output", str(target)]) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "kept.csv"]
+
+
+def _composed_row(params, n):
+    """The report row built from the public fit, reference-pmf and bound API."""
+    moments = moments_closed_form(params, n)
+    regime = classify_regime(params, n)
+    row = {
+        "alpha": params.alpha, "beta": params.beta, "n": n, "status": "ok",
+        "regime": regime.value, "mean": moments.mean, "variance": moments.variance,
+        "r": None, "q": None, "poisson_limit": None, "m_tilde": None, "m": None,
+        "theta": None, "epsilon": None, "bound": None, "bound_clipped": None,
+        "tail_mass": None, "tv_exact": None,
+    }
+    try:
+        if regime is Regime.UNDERDISPERSED:
+            fit = fit_binomial(params, n)
+            row.update(m_tilde=fit.m_tilde, m=fit.m, theta=fit.theta, epsilon=fit.epsilon)
+            reference = binomial_pmf(fit.m, fit.theta)
+            report = bound_binomial(params, n, fit)
+        else:
+            fit = fit_negative_binomial(params, n)
+            row["poisson_limit"] = fit.poisson_limit
+            if fit.poisson_limit:
+                reference = poisson_pmf(fit.lam)
+            else:
+                row.update(r=fit.r, q=fit.q)
+                reference = nb_pmf(fit.r, fit.q)
+            report = bound_nb(params, n)
+    except DegenerateFitError:
+        row["status"] = "degenerate_fit"
+        return row
+    row.update(
+        bound=report.bound_value,
+        bound_clipped=report.clipped_value,
+        tail_mass=reference.tail,
+        tv_exact=tv_distance(exact_pmf(params, n), reference),
+    )
+    return row
+
+
+def test_evaluate_point_matches_public_composition():
+    # both regimes, equal rates, n == 1 and a degenerate fit at (0.9, 0.1, 10)
+    points = [
+        (ChainParams(alpha, beta), n)
+        for alpha, beta in [(0.1, 0.8), (0.3, 0.6), (0.8, 0.2), (0.4, 0.4), (0.9, 0.1), (0.2, 0.1)]
+        for n in (1, 2, 10, 60)
+    ]
+    rows = [evaluate_point(params, n) for params, n in points]
+    for (params, n), row in zip(points, rows):
+        # repr keeps key order, int-vs-float and every bit of each float
+        assert repr(row) == repr(_composed_row(params, n)), (params, n)
+    assert {row["regime"] for row in rows} == {"overdispersed", "underdispersed"}
+    assert {row["status"] for row in rows} == {"ok", "degenerate_fit"}
