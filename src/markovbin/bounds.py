@@ -23,7 +23,9 @@ import math
 from dataclasses import dataclass, field
 
 from .core import ChainParams, moments_closed_form, stationary_law
-from .fit import BinFit, ConsistencyError, Regime, RegimeError, _fit, _regime, classify_regime
+from .fit import (
+    BinFit, ConsistencyError, NbFit, Regime, RegimeError, _fit, _regime, classify_regime
+)
 
 __all__ = [
     "BoundConstants",
@@ -112,22 +114,29 @@ class BoundReport:
         )
 
 
-def _report(
-    regime: Regime,
-    consts: BoundConstants,
-    n: int,
-    prefactor: float,
-    geo_base: float,
-    epsilon_term: float | None = None,
-) -> BoundReport:
-    """prefactor * [2*K1/sqrt(n) + 4*K2/n + geo_base^floor(n/4)], plus the
-    binomial epsilon term when given, with its breakdown."""
+def _bound(params: ChainParams, n: int, regime: Regime, fit: NbFit | BinFit | None) -> BoundReport:
+    """The bound that goes with a fit from the shared path in ``markovbin.fit``:
+    the binomial bound for a BinFit, else the negative binomial one (also
+    the Poisson limit's, and ``bound_nb``'s where there is no fit), each as
+    prefactor * [2*K1/sqrt(n) + 4*K2/n + base^floor(n/4)] + epsilon term."""
+    consts = bound_constants(params)
+    if isinstance(fit, BinFit):
+        p = stationary_law(params).p
+        one_minus_theta = 1.0 - fit.theta
+        prefactor = (
+            abs(p - fit.theta) / one_minus_theta * consts.c1
+            + abs(params.beta - params.alpha) / one_minus_theta * consts.c2
+        )
+        base = max(params.alpha, params.beta)
+        epsilon_term = fit.theta**2 * fit.epsilon / (n * p * one_minus_theta)
+    else:
+        prefactor, base, epsilon_term = consts.c0, params.beta, None
     # floor(n/4) by integer division; n < 4 makes the geometric term 1.
     breakdown = {
         "prefactor": prefactor,
         "bracket_sqrt": 2.0 * consts.k1 / math.sqrt(n),
         "bracket_linear": 4.0 * consts.k2 / n,
-        "bracket_geometric": geo_base ** (n // 4),
+        "bracket_geometric": base ** (n // 4),
     }
     value = prefactor * sum(breakdown[key] for key in _BRACKET_KEYS)
     if epsilon_term is not None:
@@ -147,8 +156,7 @@ def bound_nb(params: ChainParams, n: int, *, check_regime: bool = True) -> Bound
     regime = classify_regime(params, n)
     if check_regime and regime is Regime.UNDERDISPERSED:
         raise RegimeError("underdispersed inputs: use bound_binomial")
-    consts = bound_constants(params)
-    return _report(regime, consts, n, consts.c0, params.beta)
+    return _bound(params, n, regime, None)
 
 
 def bound_binomial(params: ChainParams, n: int, fit: BinFit) -> BoundReport:
@@ -169,14 +177,4 @@ def bound_binomial(params: ChainParams, n: int, fit: BinFit) -> BoundReport:
         1.0, abs(expected.m_tilde)
     ):
         raise ValueError("fit is not consistent with (params, n)")
-
-    consts = bound_constants(params)
-    p = stationary_law(params).p
-    one_minus_theta = 1.0 - fit.theta
-    prefactor = (
-        abs(p - fit.theta) / one_minus_theta * consts.c1
-        + abs(params.beta - params.alpha) / one_minus_theta * consts.c2
-    )
-    epsilon_term = fit.theta**2 * fit.epsilon / (n * p * one_minus_theta)
-    amax = max(params.alpha, params.beta)
-    return _report(regime, consts, n, prefactor, amax, epsilon_term)
+    return _bound(params, n, regime, fit)

@@ -8,15 +8,15 @@ Output files are deterministic for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import io
 import json
 import math
 import os
+import stat
 import sys
-import tempfile
 from dataclasses import dataclass, asdict
-from typing import Any, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -24,16 +24,7 @@ from . import bounds as bounds_mod
 from . import coupling as coupling_mod
 from . import stein as stein_mod
 from .core import ChainParams, exact_pmf, moments_closed_form, shift_tv, tv_distance
-from .fit import (
-    BinFit,
-    DegenerateFitError,
-    Regime,
-    RegimeError,
-    _fit,
-    _reference,
-    _regime,
-    fit_binomial,
-)
+from .fit import DegenerateFitError, Regime, RegimeError, _fit, _reference, _regime, fit_binomial
 
 __all__ = ["SweepConfig", "cmd_fit", "cmd_sweep", "cmd_verify", "run_sweep", "main"]
 
@@ -90,14 +81,10 @@ def evaluate_point(params: ChainParams, n: int, *, exact: bool = True) -> dict[s
     except DegenerateFitError:
         row["status"] = "degenerate_fit"
         return row
-    if isinstance(fit, BinFit):
-        row.update(m_tilde=fit.m_tilde, m=fit.m, theta=fit.theta, epsilon=fit.epsilon)
-        report = bounds_mod.bound_binomial(params, n, fit)
-    else:
-        row["poisson_limit"] = fit.poisson_limit
-        if not fit.poisson_limit:
-            row.update(r=fit.r, q=fit.q)
-        report = bounds_mod.bound_nb(params, n)
+    # a Poisson limit reports only its flag: r = inf and q = 1 carry no fit
+    fields = {"poisson_limit": True} if getattr(fit, "poisson_limit", False) else vars(fit)
+    row.update({key: value for key, value in fields.items() if key in _FIT_FIELDS})
+    report = bounds_mod._bound(params, n, regime, fit)
     reference = _reference(fit)
     row["bound"] = report.bound_value
     row["bound_clipped"] = report.clipped_value
@@ -277,7 +264,7 @@ def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
                     row["check_lemma24"] = _verdict(lemma24)
                 rows.append(row)
                 index += 1
-    _write_report(config, rows)
+    _write_report(config.output_path, _render(config, rows))
     return rows
 
 
@@ -291,43 +278,51 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-@contextlib.contextmanager
-def _replacing(path: str) -> Iterator[TextIO]:
-    """A new file beside ``path`` that replaces it once the block completes
-    and is deleted on any exception, so a failed write leaves an existing
-    report intact.  It gets the mode a plain ``open(path, "w")`` leaves: the
-    target's own, or 0o666 less the umask for a new report."""
-    target = os.path.realpath(path)
-    umask = os.umask(0)
-    os.umask(umask)
-    mode = os.stat(target).st_mode & 0o7777 if os.path.exists(target) else 0o666 & ~umask
-    fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=".markovbin-", dir=os.path.dirname(target))
+def _render(config: SweepConfig, rows: Sequence[dict[str, Any]]) -> str:
+    if config.format == "json":
+        payload = {
+            "schema_version": 1,
+            "kind": "markovbin-sweep",
+            "config": asdict(config),
+            "rows": list(rows),
+        }
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    header = list(rows[0].keys())
+    writer.writerow(header)
+    writer.writerows([_fmt(row[key]) for key in header] for row in rows)
+    return buffer.getvalue()
+
+
+def _write_report(path: str, text: str) -> None:
+    """Write a rendered report.  A new report, or a regular file with one link
+    that the caller owns and may write, is replaced by renaming a complete
+    file over it, so a failed write leaves the old report intact.  Any other
+    target (a device, a FIFO, a hard-linked, foreign or read-only file) is
+    written in place, as by a plain ``open(path, "w")``."""
+    old = os.stat(path) if os.path.exists(path) else None
+    if old is not None and not (
+        stat.S_ISREG(old.st_mode)
+        and (old.st_nlink, old.st_uid, old.st_gid) == (1, os.geteuid(), os.getegid())
+        and os.access(path, os.W_OK)
+    ):
+        with open(path, "w", newline="\n") as handle:
+            handle.write(text)
+        return
+    target = os.path.realpath(path)  # a symlink keeps pointing at the new report
+    temp = f"{target}.{os.getpid()}.tmp"
+    # created as open() creates a new report: mode 0o666 less the umask
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            yield handle
-        os.chmod(temp, mode)
+        with open(fd, "w", newline="\n") as handle:
+            handle.write(text)
+        if old is not None:
+            os.chmod(temp, stat.S_IMODE(old.st_mode))
         os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
         raise
-
-
-def _write_report(config: SweepConfig, rows: Sequence[dict[str, Any]]) -> None:
-    with _replacing(config.output_path) as handle:
-        if config.format == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            header = list(rows[0].keys())
-            writer.writerow(header)
-            writer.writerows([_fmt(row[key]) for key in header] for row in rows)
-        else:
-            payload = {
-                "schema_version": 1,
-                "kind": "markovbin-sweep",
-                "config": asdict(config),
-                "rows": list(rows),
-            }
-            json.dump(payload, handle, indent=2, allow_nan=False)
-            handle.write("\n")
 
 
 def _probability(text: str) -> float:

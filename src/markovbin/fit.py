@@ -9,8 +9,9 @@ through scipy.stats (log-gamma based, stable at large parameters) and carry
 their truncation tail mass.
 
 One private path serves every caller: the moments pick the regime
-(``_regime``), the regime the fit (``_fit``) and the fit the reference law
-(``_reference``); a caller holding the moments passes them down.
+(``_regime``), the regime the fit (``_fit``), and the fit the reference law
+(``_reference``) and its TV bound (``markovbin.bounds._bound``); a caller
+holding the moments passes them down.
 """
 
 from __future__ import annotations

@@ -277,6 +277,34 @@ class TestSweepErrors:
         assert stat.S_IMODE(kept.stat().st_mode) == 0o640
         assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "kept.csv"]
 
+    def test_fifo_report_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "report.csv"
+        os.mkfifo(fifo)
+        # a reader already at the FIFO lets the sweep open it without blocking
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(["sweep", "--alphas", "0.3", "--betas", "0.6", "--ns", "4",
+                        "--output", str(fifo)]) == 0
+            streamed = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert streamed.startswith("alpha,beta,n,status,regime,")
+        assert streamed.count("\n") == 2
+        assert os.listdir(tmp_path) == ["report.csv"]
+
+    def test_linked_reports_keep_their_links(self, tmp_path):
+        report, hard, soft = tmp_path / "report.csv", tmp_path / "hard.csv", tmp_path / "soft.csv"
+        report.write_text("old report\n")
+        os.link(report, hard)
+        soft.symlink_to(report)
+        for target in (hard, soft):
+            assert run(["sweep", "--alphas", "0.3", "--betas", "0.6", "--ns", "4",
+                        "--output", str(target)]) == 0
+        assert report.stat().st_nlink == 2 and soft.is_symlink()
+        assert report.read_text() == hard.read_text() == soft.read_text() != "old report\n"
+        assert sorted(os.listdir(tmp_path)) == ["hard.csv", "report.csv", "soft.csv"]
+
 
 def _composed_row(params, n):
     """The report row built from the public fit, reference-pmf and bound API."""
