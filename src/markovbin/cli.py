@@ -202,8 +202,7 @@ def _lemma22(step: float, n_max: int) -> _Check:
 def _lemma24(params: ChainParams, n: int, indices: Iterable[int]) -> _Check:
     """Lemma 2.4 at each index, with the worst sup-side and probe-side margins."""
     ok, worst_sup, worst_delta = True, -math.inf, -math.inf
-    for i in indices:
-        report = stein_mod.verify_lemma24(params, n, i)
+    for report in stein_mod._lemma24_reports(params, n, indices).values():
         ok = ok and report.ok
         worst_sup = max(worst_sup, report.tv2 - report.rhs_sup)
         worst_delta = max(worst_delta, report.probe_max - report.rhs_delta)

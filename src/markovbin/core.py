@@ -11,7 +11,7 @@ Everything in this module is deterministic; Monte Carlo lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -50,7 +50,14 @@ _EPS = float(np.finfo(float).eps)
 # cancelling closed form before it switches to the covariance sum.
 _MOMENT_RTOL = 1e-12
 
+# Doubles of shorter-segment laws one DP pass of ``_conditional_laws`` keeps
+# (32 MB).  Every index at sum length n keeps about n^2/8 of them, which is
+# 20 GB per start state at MAX_EXACT_N, so larger index sets take more passes.
+_KEPT_DOUBLES = 1 << 22
+
 Start = Union[str, Sequence[float]]
+# State of the exact DP after a step: f0, f1, lo, hi, tail (see ``_dp_pass``).
+_DpState = tuple[np.ndarray, np.ndarray, int, int, float]
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,7 @@ class Pmf:
         object.__setattr__(self, "mass", mass)
         if mass.ndim != 1 or mass.size == 0:
             raise ValueError("mass must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(mass)) or np.any(mass < 0.0):
+        if not np.isfinite(mass).all() or (mass < 0.0).any():
             raise ValueError("mass entries must be finite and non-negative")
         if not (0.0 <= self.tail < 1.0):
             raise ValueError(f"tail mass out of range: {self.tail!r}")
@@ -187,32 +194,19 @@ def _exact_tol(n: int) -> float:
     return max(PMF_TOL, 2.0 * (n + 1) * _EPS)
 
 
-def exact_pmf(params: ChainParams, n: int, start: Start = "stationary") -> Pmf:
-    """Exact law of the n-step sum under the given start.
+def _dp_pass(params: ChainParams, n: int, start: Start) -> Iterator[_DpState]:
+    """Run the windowed exact DP for n steps, yielding its state after each
+    step k = 0..n as ``(f0, f1, lo, hi, tail)``.
 
-    The chain is anchored at step 0 with the initial law named by ``start``
-    and the sum runs over steps 1..n, so the anchoring state itself is never
-    counted.  ``start="state0"`` therefore gives the law of the sum of n
-    transitions out of state 0.  For the stationary start this coincides with
-    summing n stationary states.
-
-    Each step updates only a live window ``lo..hi`` of partial sums.  After
-    each step, edge entries whose mass ``f0 + f1`` is below the smallest
-    normal double (about 2.2e-308) leave the window, their mass goes to
-    ``Pmf.tail`` and they read 0 in ``mass``.  Such masses are subnormal, and
-    arithmetic on subnormal doubles is many times slower than on normal ones:
-    a full-width DP keeps thousands of them alive at large n (8 731 of 20 001
-    at n = 20 000), so its cost per cell grows with n.  Dropping one changes
-    any later mass by less than the smallest normal double, so masses of
-    1e-280 or more match the full-width DP to the last bit.  The window gains
-    one entry per step and each drop removes one, so at most n + 1 entries
-    are dropped and ``tail`` stays below n + 1 times the smallest normal
-    double.  The cost is O(n * width) time, at most O(n^2), and O(n) memory.
+    ``f0[lo:hi] + f1[lo:hi]`` are the masses of the partial sums lo..hi-1
+    (every other partial sum reads 0) and ``tail`` is the mass dropped so
+    far.  The arrays are the live buffers, overwritten by the next step, so a
+    caller copies what it keeps before it resumes the generator.  Every
+    operation acts on the window alone and the cut after a step depends only
+    on the masses after that step, so the state after k steps does not
+    depend on how many steps the pass goes on to run: it is the state that a
+    k-step pass ends in, bit for bit.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1 (the empty sum is not defined here)")
-    if n > MAX_EXACT_N:
-        raise ValueError(f"n={n} exceeds MAX_EXACT_N={MAX_EXACT_N}")
     init = _initial_law(params, start)
     a, b = params.alpha, params.beta
     a0, b0 = 1.0 - a, 1.0 - b
@@ -228,6 +222,7 @@ def exact_pmf(params: ChainParams, n: int, start: Start = "stationary") -> Pmf:
     f1[0] = init[1]
     lo, hi = 0, 1
     tail = 0.0
+    yield f0, f1, lo, hi, tail
     for _ in range(n):
         src0, src1, tmp = f0[lo:hi], f1[lo:hi], scratch[lo:hi]
         dst0, dst1 = g0[lo:hi], g1[lo + 1 : hi + 1]
@@ -249,9 +244,116 @@ def exact_pmf(params: ChainParams, n: int, start: Start = "stationary") -> Pmf:
         while (edge := f0[hi - 1] + f1[hi - 1]) < _TINY:
             tail += edge
             hi -= 1
-    mass = np.zeros(n + 1)
+        yield f0, f1, lo, hi, tail
+
+
+def _snapshot(state: _DpState, k: int) -> Pmf:
+    """The exact law of the k-step sum held by a DP state after k steps."""
+    f0, f1, lo, hi, tail = state
+    mass = np.zeros(k + 1)
     np.add(f0[lo:hi], f1[lo:hi], out=mass[lo:hi])
-    return Pmf(mass, tail=float(tail), tol=_exact_tol(n))
+    return Pmf(mass, tail=float(tail), tol=_exact_tol(k))
+
+
+def exact_pmf(params: ChainParams, n: int, start: Start = "stationary") -> Pmf:
+    """Exact law of the n-step sum under the given start.
+
+    The chain is anchored at step 0 with the initial law named by ``start``
+    and the sum runs over steps 1..n, so the anchoring state itself is never
+    counted.  ``start="state0"`` therefore gives the law of the sum of n
+    transitions out of state 0.  For the stationary start this coincides with
+    summing n stationary states.
+
+    Each step updates only a live window ``lo..hi`` of partial sums.  After
+    each step, edge entries whose mass ``f0 + f1`` is below the smallest
+    normal double (about 2.2e-308) leave the window, their mass goes to
+    ``Pmf.tail`` and they read 0 in ``mass``.  Such masses are subnormal, and
+    arithmetic on subnormal doubles is many times slower than on normal ones:
+    a full-width DP keeps thousands of them alive at large n (8 731 of 20 001
+    at n = 20 000), so its cost per cell grows with n.  Dropping one changes
+    any later mass by less than the smallest normal double, so masses of
+    1e-280 or more match the full-width DP to the last bit.  The window gains
+    one entry per step and each drop removes one, so at most n + 1 entries
+    are dropped and ``tail`` stays below n + 1 times the smallest normal
+    double.  The cost is O(n * width) time, at most O(n^2), and O(n) memory.
+
+    The result is the last state of one pass of the DP (``_dp_pass``); the
+    state that pass holds after k < n steps is ``exact_pmf(params, k, start)``
+    to the last bit, tail included, which lets one pass serve every shorter
+    sum.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1 (the empty sum is not defined here)")
+    if n > MAX_EXACT_N:
+        raise ValueError(f"n={n} exceeds MAX_EXACT_N={MAX_EXACT_N}")
+    for state in _dp_pass(params, n, start):
+        pass
+    return _snapshot(state, n)
+
+
+def _conditional_laws(
+    params: ChainParams, n: int, indices: Iterable[int], j: int
+) -> Iterator[tuple[int, Pmf]]:
+    """Yield ``(i, L(S - X_i | X_i = j))`` for each index, from as few DP
+    passes out of state j as the memory budget allows.
+
+    The law at index i convolves the laws after i - 1 and n - i steps out of
+    state j (see ``exact_conditional_pmf``), and both are states of one pass
+    out of j.  Indices are grouped by their shorter side min(i - 1, n - i),
+    which is at most (n - 1) // 2; a pass keeps the shorter-side laws of its
+    groups, about n^2/8 doubles when every index is requested, so index sets
+    whose kept laws exceed ``_KEPT_DOUBLES`` are split over several passes.
+    Below that budget (every index up to n of about 5 800) one pass serves
+    them all.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if j not in (0, 1):
+        raise ValueError(f"state j must be 0 or 1, got {j!r}")
+    groups: dict[int, list[int]] = {}  # shorter side -> indices
+    for i in sorted(set(indices)):
+        if not 1 <= i <= n:
+            raise ValueError(f"index i={i} out of range 1..{n}")
+        groups.setdefault(min(i - 1, n - i), []).append(i)
+    if groups and n - 1 - min(groups) > MAX_EXACT_N:
+        raise ValueError(f"n={n - 1 - min(groups)} exceeds MAX_EXACT_N={MAX_EXACT_N}")
+    start = "state1" if j == 1 else "state0"
+    shorter = sorted(groups)
+    batch: dict[int, list[int]] = {}
+    kept = 0
+    for s in shorter:
+        batch[s] = groups[s]
+        kept += s + 1
+        if kept >= _KEPT_DOUBLES or s == shorter[-1]:
+            yield from _pass_conditionals(params, n, batch, start)
+            batch, kept = {}, 0
+
+
+def _pass_conditionals(
+    params: ChainParams, n: int, groups: dict[int, list[int]], start: Start
+) -> Iterator[tuple[int, Pmf]]:
+    """The conditional laws of the grouped indices from one DP pass.
+
+    The pass keeps its state after s steps for each shorter side s, and
+    emits a group when it reaches the longer side n - 1 - s; the kept law is
+    then dropped.  Groups therefore come out from the middle outwards.  The
+    convolution takes the left segment first, as ``exact_conditional_pmf``
+    defines it.
+    """
+    kept: dict[int, Pmf] = {}
+    tol = _exact_tol(n)
+    for k, state in enumerate(_dp_pass(params, n - 1 - min(groups), start)):
+        if k in groups:
+            kept[k] = _snapshot(state, k)
+        s = n - 1 - k  # the shorter side of the indices whose longer side is k
+        if s in groups:
+            long_law = kept[k] if k in kept else _snapshot(state, k)
+            short_law = kept.pop(s)
+            for i in groups[s]:
+                left, right = (short_law, long_law) if i - 1 < n - i else (long_law, short_law)
+                yield i, Pmf(
+                    np.convolve(left.mass, right.mass), tail=left.tail + right.tail, tol=tol
+                )
 
 
 def exact_conditional_pmf(params: ChainParams, n: int, i: int, j: int) -> Pmf:
@@ -261,23 +363,15 @@ def exact_conditional_pmf(params: ChainParams, n: int, i: int, j: int) -> Pmf:
     the right segment (steps i+1..n) are independent.  The left segment is
     the reversed chain run i-1 steps out of state j; the stationary two-state
     chain satisfies detailed balance, so the reversed chain has the same
-    transition matrix and both segments reuse the forward DP.  The result
-    carries both segments' dropped subnormal mass as ``tail`` and the
-    size-aware tolerance of an n-step exact law.
+    transition matrix and both segments reuse the forward DP.  The result is
+    ``np.convolve(left, right)`` of ``exact_pmf(params, i - 1, start)`` and
+    ``exact_pmf(params, n - i, start)`` (the unit law for an empty segment),
+    both taken from one DP pass out of j, whose states match those calls bit
+    for bit.  It carries both segments' dropped subnormal mass as ``tail``
+    and the size-aware tolerance of an n-step exact law.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 1 <= i <= n:
-        raise ValueError(f"index i={i} out of range 1..{n}")
-    if j not in (0, 1):
-        raise ValueError(f"state j must be 0 or 1, got {j!r}")
-    start = "state1" if j == 1 else "state0"
-    one = Pmf(np.ones(1))
-    left = exact_pmf(params, i - 1, start) if i > 1 else one
-    right = exact_pmf(params, n - i, start) if i < n else one
-    return Pmf(
-        np.convolve(left.mass, right.mass), tail=left.tail + right.tail, tol=_exact_tol(n)
-    )
+    ((_, law),) = _conditional_laws(params, n, [i], j)
+    return law
 
 
 @dataclass(frozen=True)
@@ -371,9 +465,9 @@ def tv_distance(p: "Pmf | Sequence[float]", q: "Pmf | Sequence[float]") -> float
     a = _as_mass(p)
     b = _as_mass(q)
     if a.size < b.size:
-        a = np.pad(a, (0, b.size - a.size))
+        a = np.concatenate((a, np.zeros(b.size - a.size)))
     elif b.size < a.size:
-        b = np.pad(b, (0, a.size - b.size))
+        b = np.concatenate((b, np.zeros(a.size - b.size)))
     return 0.5 * float(np.abs(a - b).sum())
 
 

@@ -6,7 +6,8 @@ with mean E S at equidispersion.  Underdispersed sums are matched by a
 binomial Bi(m, theta) with m = floor(m_tilde), m_tilde = (E S)^2 /
 (E S - Var S) and theta = E S / m.  Reference mass functions are evaluated
 through scipy.stats (log-gamma based, stable at large parameters) and carry
-their truncation tail mass.
+their truncation tail mass; scipy.stats is imported on the first such call,
+since importing it takes most of the start-up time of the package.
 
 One private path serves every caller: the moments pick the regime
 (``_regime``), the regime the fit (``_fit``), and the fit the reference law
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats
 
 from .core import ChainParams, MomentSummary, Pmf, moments_closed_form, stationary_law
 
@@ -226,6 +226,8 @@ def nb_pmf(r: float, q: float, trunc: int | None = None) -> Pmf:
         raise ValueError(f"q must lie in (0, 1], got {q!r}")
     if q == 1.0:
         return Pmf(np.ones(1))
+    from scipy import stats
+
     if trunc is None:
         mean = r * (1.0 - q) / q
         std = math.sqrt(mean / q)
@@ -246,6 +248,8 @@ def binomial_pmf(m: int, theta: float, trunc: int | None = None) -> Pmf:
         trunc = m
     if trunc < m:
         raise ValueError(f"truncation {trunc} cuts the support 0..{m}")
+    from scipy import stats
+
     mass = np.zeros(trunc + 1)
     mass[: m + 1] = stats.binom.pmf(np.arange(m + 1), m, theta)
     return Pmf(mass)
@@ -258,6 +262,8 @@ def poisson_pmf(lam: float, trunc: int | None = None) -> Pmf:
         raise ValueError(f"lam must be non-negative, got {lam!r}")
     if lam == 0.0:
         return Pmf(np.ones(1))
+    from scipy import stats
+
     if trunc is None:
         trunc = _auto_truncation(stats.poisson.ppf(1.0 - TRUNCATION_MASS, lam), lam, math.sqrt(lam))
     if trunc < 0:

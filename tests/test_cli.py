@@ -3,6 +3,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -23,7 +25,7 @@ from markovbin import (
     tv_distance,
 )
 from markovbin.cli import SweepConfig, evaluate_point, main, run_sweep
-from markovbin.stein import verify_lemma24
+from markovbin.stein import _lemma24_reports, verify_lemma24
 
 
 def run(argv):
@@ -188,6 +190,37 @@ class TestVerifyCommand:
         probe = min(report.rhs_delta - report.probe_max for report in reports)
         assert printed["worst sup-side margin"] == f"{sup:.6g}"
         assert printed["worst probe-side margin"] == f"{probe:.6g}"
+
+    def test_lemma24_all_indices_long_sum(self, capsys):
+        params, n = ChainParams(0.3, 0.6), 400
+        assert run(["verify", "lemma24", "--alpha", "0.3", "--beta", "0.6", "--n", "400"]) == 0
+        printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        reports = _lemma24_reports(params, n, range(1, n + 1))
+        assert list(reports) == list(range(1, n + 1))
+        sup = {i: report.rhs_sup - report.tv2 for i, report in reports.items()}
+        probe = {i: report.rhs_delta - report.probe_max for i, report in reports.items()}
+        assert printed["worst sup-side margin"] == f"{min(sup.values()):.6g}"
+        assert printed["worst probe-side margin"] == f"{min(probe.values()):.6g}"
+        # the worst indices and both ends, each on its own
+        for i in {min(sup, key=sup.get), min(probe, key=probe.get), 1, n}:
+            assert reports[i] == verify_lemma24(params, n, i)
+
+    def test_verify_lemma24_leaves_scipy_stats_unimported(self):
+        import markovbin
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(markovbin.__file__)))
+        code = (
+            "import sys, markovbin\n"
+            "from markovbin.cli import main\n"
+            "main(['verify', 'lemma24', '--alpha', '0.3', '--beta', '0.6', '--n', '20'])\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert "suite lemma24: PASS" in result.stdout
+        assert result.stdout.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize(
         "argv",

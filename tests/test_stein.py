@@ -15,6 +15,7 @@ from markovbin import (
     stationary_law,
     verify_lemma24,
 )
+from markovbin.stein import _lemma24_reports
 
 
 def random_subset(rng, upper):
@@ -209,3 +210,20 @@ class TestVerifyLemma24:
     def test_index_validation(self):
         with pytest.raises(ValueError):
             verify_lemma24(ChainParams(0.3, 0.6), 10, 11)
+
+
+class TestLemma24Reports:
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.6), (0.6, 0.25), (0.4, 0.4)])
+    def test_every_report_equals_single_index(self, alpha, beta, n):
+        params = ChainParams(alpha, beta)
+        singles = {i: verify_lemma24(params, n, i) for i in range(1, n + 1)}
+        for indices in (range(1, n + 1), sorted({1, (n + 1) // 2, n}), [n // 2 + 1]):
+            reports = _lemma24_reports(params, n, indices)
+            assert list(reports) == sorted(set(indices))
+            for i, report in reports.items():
+                assert report == singles[i], (i, indices)
+
+    def test_index_validation(self):
+        with pytest.raises(ValueError):
+            _lemma24_reports(ChainParams(0.3, 0.6), 10, [3, 11])
