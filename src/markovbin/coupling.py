@@ -1,4 +1,5 @@
-"""Seeded Monte Carlo for the chain and for the coupled pair of chains.
+"""Seeded Monte Carlo for the chain, for the coupled pair of chains and for
+the chain's regeneration blocks.
 
 The coupled pair moves two copies of the chain, one started at 1 and one at
 0, under the joint kernel that meets them as fast as possible: from a split
@@ -6,6 +7,13 @@ state both land on j together with probability min(p0j, p1j), the residual
 mass |beta - alpha| keeps them split, and from the diagonal they move as one
 chain.  The first meeting time and the first joint visit to 0 are the
 quantities of interest.
+
+Both first-passage samplers share one engine: copies of a 4-state chain
+started at state 2, moved by inverse-cdf tables, record their first entry
+into {0, 3} and their first entry into 0.  For the coupled pair the states
+are the encoded pairs s = 2*z1 + z0, so these are the meeting time and the
+joint visit to 0.  For the regeneration blocks the 0-block, the 1-block and
+done are the states 2, 3 and 0, so the two entry times end the two blocks.
 
 Streams are counter-based.  Block t of draws comes from a Philox generator
 whose 256-bit counter encodes (purpose, t), and sample i always reads
@@ -17,8 +25,8 @@ lockstep horizon switches to a private stream keyed by its index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -27,17 +35,12 @@ from .core import ChainParams, Pmf, Start, _initial_law
 __all__ = [
     "DEFAULT_STEP_CAP",
     "LOCKSTEP_HORIZON",
-    "ChainSample",
     "CoupledState",
-    "MeetingSample",
     "MeetingSamples",
-    "BlockSample",
     "BlockSamples",
-    "sample_chain",
     "sample_sums",
     "empirical_pmf",
     "coupled_transition_law",
-    "step_coupled",
     "sample_meeting_times",
     "sample_blocks",
 ]
@@ -50,7 +53,6 @@ DEFAULT_STEP_CAP = 10_000
 # per-sample streams.
 LOCKSTEP_HORIZON = 256
 
-_PURPOSE_PATH = 0
 _PURPOSE_SUMS = 1
 _PURPOSE_MEETING = 2
 _PURPOSE_BLOCKS = 3
@@ -66,31 +68,6 @@ def _stream(seed: int, purpose: int, block: int) -> np.random.Generator:
 
 def _tail_stream(seed: int, purpose: int, index: int) -> np.random.Generator:
     return _stream(seed, purpose | _TAIL_FLAG, index)
-
-
-@dataclass(frozen=True, eq=False)
-class ChainSample:
-    """One simulated trajectory: states at steps 0..n and the sum over 1..n."""
-
-    path: np.ndarray
-    total: int
-
-
-def sample_chain(params: ChainParams, n: int, start: Start, seed: int) -> ChainSample:
-    """Simulate one trajectory of the chain; deterministic given the seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    init = _initial_law(params, start)
-    u = _stream(seed, _PURPOSE_PATH, 0).random(n + 1)
-    path = np.zeros(n + 1, dtype=np.int8)
-    state = 1 if u[0] < init[1] else 0
-    path[0] = state
-    a, b = params.alpha, params.beta
-    for t in range(1, n + 1):
-        to_one = b if state == 1 else a
-        state = 1 if u[t] < to_one else 0
-        path[t] = state
-    return ChainSample(path=path, total=int(path[1:].sum()))
 
 
 def sample_sums(
@@ -161,34 +138,6 @@ def coupled_transition_law(
     return law
 
 
-def step_coupled(
-    params: ChainParams, state: CoupledState, rng: np.random.Generator
-) -> CoupledState:
-    """One transition of the coupled pair, consuming a single uniform."""
-    u = float(rng.random())
-    law = coupled_transition_law(params, state)
-    acc = 0.0
-    targets = [(0, 0), (1, 1)] + [key for key in law if key not in ((0, 0), (1, 1))]
-    for target in targets:
-        acc += law.get(target, 0.0)
-        if u < acc:
-            return CoupledState(*target)
-    return CoupledState(*targets[-1])
-
-
-@dataclass(frozen=True)
-class MeetingSample:
-    """First meeting time and first joint visit to 0 of one coupled run."""
-
-    varsigma: int
-    tau: int
-    tau_censored: bool = False
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.varsigma <= self.tau:
-            raise ValueError("need tau >= varsigma >= 1")
-
-
 @dataclass(frozen=True, eq=False)
 class MeetingSamples:
     """Column-wise collection of meeting samples.
@@ -202,19 +151,6 @@ class MeetingSamples:
     tau: np.ndarray
     censored: np.ndarray
     absorption_violations: int
-
-    def __len__(self) -> int:
-        return int(self.varsigma.size)
-
-    def __getitem__(self, i: int) -> MeetingSample:
-        return MeetingSample(
-            varsigma=int(self.varsigma[i]),
-            tau=int(self.tau[i]),
-            tau_censored=bool(self.censored[i]),
-        )
-
-    def __iter__(self) -> Iterator[MeetingSample]:
-        return (self[i] for i in range(len(self)))
 
     def varsigma_tail(self, m: int) -> float:
         """Empirical P(varsigma >= m)."""
@@ -248,6 +184,62 @@ def _kernel_table(params: ChainParams) -> tuple[np.ndarray, ...]:
     return t1, t2, out3
 
 
+
+
+def _first_passages(
+    table: tuple[np.ndarray, ...], num_samples: int, seed: int, purpose: int, step_cap: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Run copies of a 4-state chain from state 2 through ``table``.
+
+    ``table`` is ``(t1, t2, out3)`` as built by ``_kernel_table``.  Returns
+    each copy's first entry time into {0, 3} and into 0 (0 where not reached
+    within ``step_cap`` steps), whether it reached 0, and the number of
+    lockstep transitions that left {0, 3} after entering it.
+    """
+    t1, t2, out3 = table
+    state = np.full(num_samples, _SPLIT_10, dtype=np.int8)
+    varsigma = np.zeros(num_samples, dtype=np.int64)
+    tau = np.zeros(num_samples, dtype=np.int64)
+    met = np.zeros(num_samples, dtype=bool)
+    done = np.zeros(num_samples, dtype=bool)
+    violations = 0
+
+    horizon = min(step_cap, LOCKSTEP_HORIZON)
+    t = 0
+    while t < horizon and not done.all():
+        t += 1
+        u = _stream(seed, purpose, t).random(num_samples)
+        state = np.where(
+            u < t1[state], np.int8(0), np.where(u < t2[state], np.int8(3), out3[state])
+        ).astype(np.int8)
+        on_diag = (state == 0) | (state == 3)
+        violations += int(np.count_nonzero(met & ~on_diag))
+        newly_met = on_diag & ~met
+        varsigma[newly_met] = t
+        met |= on_diag
+        newly_zero = (state == 0) & ~done
+        tau[newly_zero] = t
+        done |= newly_zero
+
+    for i in np.flatnonzero(~done):
+        rng = _tail_stream(seed, purpose, int(i))
+        s = int(state[i])
+        step = t
+        while step < step_cap:
+            step += 1
+            u = float(rng.random())
+            s = 0 if u < t1[s] else (3 if u < t2[s] else int(out3[s]))
+            if s in (0, 3) and not met[i]:
+                met[i] = True
+                varsigma[i] = step
+            if s == 0:
+                tau[i] = step
+                done[i] = True
+                break
+
+    return varsigma, tau, done, violations
+
+
 def sample_meeting_times(
     params: ChainParams,
     num_samples: int,
@@ -264,52 +256,11 @@ def sample_meeting_times(
         raise ValueError("num_samples must be >= 1")
     if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
-    t1, t2, out3 = _kernel_table(params)
-
-    state = np.full(num_samples, _SPLIT_10, dtype=np.int8)
-    varsigma = np.zeros(num_samples, dtype=np.int64)
-    tau = np.zeros(num_samples, dtype=np.int64)
-    met = np.zeros(num_samples, dtype=bool)
-    done = np.zeros(num_samples, dtype=bool)
-    violations = 0
-
-    horizon = min(step_cap, LOCKSTEP_HORIZON)
-    t = 0
-    while t < horizon and not done.all():
-        t += 1
-        u = _stream(seed, _PURPOSE_MEETING, t).random(num_samples)
-        state = np.where(
-            u < t1[state], np.int8(0), np.where(u < t2[state], np.int8(3), out3[state])
-        ).astype(np.int8)
-        on_diag = (state == 0) | (state == 3)
-        violations += int(np.count_nonzero(met & ~on_diag))
-        newly_met = on_diag & ~met
-        varsigma[newly_met] = t
-        met |= on_diag
-        newly_zero = (state == 0) & ~done
-        tau[newly_zero] = t
-        done |= newly_zero
-
-    for i in np.flatnonzero(~done):
-        rng = _tail_stream(seed, _PURPOSE_MEETING, int(i))
-        s = int(state[i])
-        step = t
-        while step < step_cap:
-            step += 1
-            u = float(rng.random())
-            s = 0 if u < t1[s] else (3 if u < t2[s] else int(out3[s]))
-            if s in (0, 3) and not met[i]:
-                met[i] = True
-                varsigma[i] = step
-            if s == 0:
-                tau[i] = step
-                done[i] = True
-                break
-        if not done[i]:
-            if not met[i]:
-                varsigma[i] = step_cap
-            tau[i] = step_cap
-
+    varsigma, tau, done, violations = _first_passages(
+        _kernel_table(params), num_samples, seed, _PURPOSE_MEETING, step_cap
+    )
+    varsigma[varsigma == 0] = step_cap
+    tau[~done] = step_cap
     return MeetingSamples(
         varsigma=varsigma,
         tau=tau,
@@ -318,30 +269,14 @@ def sample_meeting_times(
     )
 
 
-@dataclass(frozen=True)
-class BlockSample:
-    """Revisit counts of one regeneration cycle: xi_odd revisits of 0 before
-    the move to 1, then xi_even revisits of 1 before the move back to 0."""
-
-    xi_odd: int
-    xi_even: int
-
-
 @dataclass(frozen=True, eq=False)
 class BlockSamples:
-    """Column-wise collection of block samples."""
+    """Revisit counts of one regeneration cycle per sample: xi_odd revisits
+    of 0 before the move to 1, then xi_even revisits of 1 before the move
+    back to 0."""
 
     xi_odd: np.ndarray
     xi_even: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.xi_odd.size)
-
-    def __getitem__(self, i: int) -> BlockSample:
-        return BlockSample(xi_odd=int(self.xi_odd[i]), xi_even=int(self.xi_even[i]))
-
-    def __iter__(self) -> Iterator[BlockSample]:
-        return (self[i] for i in range(len(self)))
 
 
 def sample_blocks(params: ChainParams, num_samples: int, seed: int) -> BlockSamples:
@@ -351,41 +286,19 @@ def sample_blocks(params: ChainParams, num_samples: int, seed: int) -> BlockSamp
     1 - alpha or moves to 1; the 1-block then counts revisits with stay
     probability beta.  The two counts of a sample are independent by the
     regenerative structure.
+
+    The blocks run on the coupled pair's engine, with the 0-block, the
+    1-block and done as its states 2, 3 and 0 and no step cap: the 0-block
+    ends at the first entry into 3, so xi_odd = varsigma - 1, and the
+    1-block at the first entry into 0, so xi_even = tau - varsigma - 1.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     a, b = params.alpha, params.beta
-    xi_odd = np.zeros(num_samples, dtype=np.int64)
-    xi_even = np.zeros(num_samples, dtype=np.int64)
-    phase = np.zeros(num_samples, dtype=np.int8)  # 0-block, 1-block, done
-
-    t = 0
-    while t < LOCKSTEP_HORIZON and not (phase == 2).all():
-        t += 1
-        u = _stream(seed, _PURPOSE_BLOCKS, t).random(num_samples)
-        in_zero = phase == 0
-        in_one = phase == 1
-        leave_zero = in_zero & (u < a)
-        xi_odd[in_zero & ~leave_zero] += 1
-        phase[leave_zero] = 1
-        leave_one = in_one & (u < 1.0 - b)
-        xi_even[in_one & ~leave_one] += 1
-        phase[leave_one] = 2
-
-    for i in np.flatnonzero(phase != 2):
-        rng = _tail_stream(seed, _PURPOSE_BLOCKS, int(i))
-        ph = int(phase[i])
-        while ph != 2:
-            u = float(rng.random())
-            if ph == 0:
-                if u < a:
-                    ph = 1
-                else:
-                    xi_odd[i] += 1
-            else:
-                if u < 1.0 - b:
-                    ph = 2
-                else:
-                    xi_even[i] += 1
-
-    return BlockSamples(xi_odd=xi_odd, xi_even=xi_even)
+    table = (
+        np.array([1.0, 0.0, 0.0, 1.0 - b]),
+        np.array([1.0, 0.0, a, 1.0]),
+        np.array([0, 0, 2, 3], dtype=np.int8),
+    )
+    varsigma, tau, _, _ = _first_passages(table, num_samples, seed, _PURPOSE_BLOCKS, math.inf)
+    return BlockSamples(xi_odd=varsigma - 1, xi_even=tau - varsigma - 1)

@@ -243,8 +243,10 @@ class TestVerifyCommand:
         [
             ["lemma21", "--alpha", "0.3", "--beta", "0.6"],
             ["lemma24", "--alpha", "0.3", "--beta", "0.6", "--n", "5", "--index", "9"],
+            ["stein-nb", "--alpha", "0.3", "--beta", "0.6", "--n", "10", "--seed", "-1"],
+            ["stein-binomial", "--alpha", "0.6", "--beta", "0.3", "--n", "10", "--seed", "-1"],
         ],
-        ids=["missing-n", "index-above-n"],
+        ids=["missing-n", "index-above-n", "negative-seed-nb", "negative-seed-binomial"],
     )
     def test_usage_errors_show_verify_usage(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,35 +7,15 @@ import pytest
 from markovbin import (
     ChainParams,
     CoupledState,
-    MeetingSample,
     coupled_transition_law,
     empirical_pmf,
     exact_pmf,
     sample_blocks,
-    sample_chain,
     sample_meeting_times,
     sample_sums,
-    step_coupled,
     tv_distance,
 )
-
-
-class TestSampleChain:
-    def test_deterministic_given_seed(self):
-        params = ChainParams(0.3, 0.6)
-        first = sample_chain(params, 200, "stationary", seed=5)
-        second = sample_chain(params, 200, "stationary", seed=5)
-        assert np.array_equal(first.path, second.path)
-        assert first.total == second.total
-
-    def test_total_excludes_anchor(self):
-        sample = sample_chain(ChainParams(0.3, 0.6), 50, "state1", seed=1)
-        assert sample.path[0] == 1
-        assert sample.total == int(sample.path[1:].sum())
-
-    def test_sticky_ones_dominate(self):
-        sample = sample_chain(ChainParams(0.95, 0.95), 2000, "stationary", seed=2)
-        assert sample.total > 1700
+from markovbin.coupling import DEFAULT_STEP_CAP, LOCKSTEP_HORIZON
 
 
 class TestSampleSums:
@@ -87,30 +68,16 @@ class TestCoupledKernel:
                 assert to_one_second == pytest.approx(matrix[z0, 1], abs=1e-15)
 
     def test_marginal_fidelity_monte_carlo(self):
-        # 10^6 sampled transitions from the split state: each coordinate's
-        # empirical one-step law within 4 sigma of its chain row
+        # 10^6 sampled transitions from the split state through the lockstep
+        # sampler: the first lands on (0, 0) w.p. 0.4, on (1, 1) w.p. 0.3,
+        # each within 4 sigma
         params = ChainParams(0.3, 0.6)
-        rng = np.random.default_rng(99)
-        states = [step_coupled(params, CoupledState(1, 0), rng) for _ in range(2000)]
-        ones_first = sum(s.z1 for s in states) / len(states)
-        sigma = math.sqrt(0.6 * 0.4 / len(states))
-        assert abs(ones_first - 0.6) <= 4 * sigma
-        # full scale through the lockstep sampler: the first transition from
-        # (1, 0) lands on (0, 0) w.p. 0.4, on (1, 1) w.p. 0.3
         samples = 1_000_000
         runs = sample_meeting_times(params, samples, seed=12)
         met_at_one = np.mean((runs.varsigma == 1) & (runs.tau > 1))
         met_at_zero = np.mean((runs.varsigma == 1) & (runs.tau == 1))
         assert abs(met_at_one - 0.3) <= 4 * math.sqrt(0.3 * 0.7 / samples)
         assert abs(met_at_zero - 0.4) <= 4 * math.sqrt(0.4 * 0.6 / samples)
-
-    def test_step_coupled_absorbing(self):
-        params = ChainParams(0.3, 0.6)
-        rng = np.random.default_rng(4)
-        state = CoupledState(1, 1)
-        for _ in range(200):
-            state = step_coupled(params, state, rng)
-            assert state.z1 == state.z0
 
 
 class TestMeetingTimes:
@@ -146,18 +113,6 @@ class TestMeetingTimes:
         # censored runs count as >= cap in tail fractions
         assert runs.tau_tail(2) >= float(np.mean(runs.censored))
 
-    def test_collection_protocol(self):
-        runs = sample_meeting_times(ChainParams(0.3, 0.6), 50, seed=1)
-        assert len(runs) == 50
-        sample = runs[3]
-        assert isinstance(sample, MeetingSample)
-        assert sample.tau >= sample.varsigma >= 1
-        assert len(list(iter(runs))) == 50
-
-    def test_sample_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            MeetingSample(varsigma=3, tau=2)
-
 
 class TestBlocks:
     def test_mean_one_at_half(self):
@@ -185,7 +140,55 @@ class TestBlocks:
         assert np.array_equal(small.xi_odd, large.xi_odd[:8])
         assert np.array_equal(small.xi_even, large.xi_even[:8])
 
-    def test_collection_protocol(self):
-        blocks = sample_blocks(ChainParams(0.3, 0.6), 10, seed=1)
-        assert len(blocks) == 10
-        assert blocks[0].xi_odd >= 0 and blocks[0].xi_even >= 0
+
+def _digest(*columns):
+    h = hashlib.sha256()
+    for column in columns:
+        h.update(np.ascontiguousarray(column, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedStreams:
+    # sha256 of the sampled columns at seed 17, 2000 samples, pinned from the
+    # sampler's output; (0.005, 0.995) runs past LOCKSTEP_HORIZON, so the
+    # per-sample straggler streams are pinned too
+    MEETING = {
+        (0.3, 0.6, DEFAULT_STEP_CAP):
+            "3a82cb1e81e607cd16c298c0155792447b38babcdb31b2fa902791c11c425639",
+        (0.6, 0.3, DEFAULT_STEP_CAP):
+            "bf96d7272cf4ef4b2e3800fb5108337f0491f84e88d68962c3f679e8837dc331",
+        (0.4, 0.4, DEFAULT_STEP_CAP):
+            "301699ca2a487b33abab4bd745115caf3677eee2bd7428e67eb951ef6fe047b7",
+        (0.005, 0.995, DEFAULT_STEP_CAP):
+            "20a823f730d62b1d423949de1d8dde90170e94ac817806e9c7914a6073cdcaef",
+        (0.3, 0.6, 5):
+            "855ad8d577d93464233ddfa9344f05a08c6eb04f426c015386092dc58acf4745",
+    }
+    BLOCKS = {
+        (0.3, 0.6):
+            "ec0aacee126f49494e9496854e45abe5c36f1cdbf69fbcef46e0e2215bf40875",
+        (0.6, 0.3):
+            "702c9f6c30f4f1b334564a06965160b503dfeae04121f75ef6fb75557f48bfcf",
+        (0.4, 0.4):
+            "008ef7e6faa017617a6feb141713acff3f53c56a25a92a3119f9206349b5a1f1",
+        (0.005, 0.995):
+            "da1fd9483a3796f7e9aaa22ed5ccbb2a6cc890f1b8bdba341cf9ae33bb486f69",
+    }
+
+    @pytest.mark.parametrize("alpha,beta,step_cap", list(MEETING))
+    def test_meeting_times(self, alpha, beta, step_cap):
+        runs = sample_meeting_times(ChainParams(alpha, beta), 2000, seed=17, step_cap=step_cap)
+        assert runs.absorption_violations == 0
+        digest = _digest(runs.varsigma, runs.tau, runs.censored)
+        assert digest == self.MEETING[alpha, beta, step_cap]
+        if alpha == 0.005:
+            assert np.any(runs.tau > LOCKSTEP_HORIZON)
+        if step_cap == 5:
+            assert np.any(runs.censored)
+
+    @pytest.mark.parametrize("alpha,beta", list(BLOCKS))
+    def test_blocks(self, alpha, beta):
+        blocks = sample_blocks(ChainParams(alpha, beta), 2000, seed=17)
+        assert _digest(blocks.xi_odd, blocks.xi_even) == self.BLOCKS[alpha, beta]
+        if alpha == 0.005:
+            assert np.any(blocks.xi_odd >= LOCKSTEP_HORIZON)
