@@ -16,15 +16,20 @@ import os
 import stat
 import sys
 from dataclasses import dataclass, asdict
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import coupling as coupling_mod
 from . import stein as stein_mod
-from .core import ChainParams, exact_pmf, moments_closed_form, shift_tv, tv_distance
-from .fit import DegenerateFitError, Regime, RegimeError, _fit, _reference, _regime, fit_binomial
+from .core import (
+    ChainParams, Pmf, _conditional_law, _pass_snapshots, exact_pmf, moments_closed_form, shift_tv,
+    tv_distance,
+)
+from .fit import (
+    DegenerateFitError, Regime, RegimeError, _fit, _reference, _regime, binomial_pmf, fit_binomial
+)
 
 __all__ = ["SweepConfig", "cmd_fit", "cmd_sweep", "cmd_verify", "run_sweep", "main"]
 
@@ -64,6 +69,14 @@ class SweepConfig:
 
 def evaluate_point(params: ChainParams, n: int, *, exact: bool = True) -> dict[str, Any]:
     """One report record: moments, regime, fit, bound and optional exact TV."""
+    return _point_row(params, n, (lambda: exact_pmf(params, n)) if exact else None)
+
+
+def _point_row(
+    params: ChainParams, n: int, exact_law: Callable[[], Pmf] | None
+) -> dict[str, Any]:
+    """``evaluate_point`` with the exact law of S supplied by ``exact_law``,
+    which is called only where there is a fit to compare it with."""
     moments = moments_closed_form(params, n)
     regime = _regime(params, moments)
     row: dict[str, Any] = {
@@ -89,8 +102,8 @@ def evaluate_point(params: ChainParams, n: int, *, exact: bool = True) -> dict[s
     row["bound"] = report.bound_value
     row["bound_clipped"] = report.clipped_value
     row["tail_mass"] = reference.tail
-    if exact:
-        row["tv_exact"] = tv_distance(exact_pmf(params, n), reference)
+    if exact_law is not None:
+        row["tv_exact"] = tv_distance(exact_law(), reference)
     return row
 
 
@@ -139,12 +152,13 @@ def _stein_nb(params: ChainParams, n: int, seed: int, subsets: int) -> _Check:
 def _stein_binomial(params: ChainParams, n: int, seed: int, subsets: int) -> _Check:
     """Binomial Stein solutions for random subsets: residual and Lemma 3.1."""
     fit = fit_binomial(params, n)
+    target = binomial_pmf(fit.m, fit.theta).mass
     rng = np.random.default_rng(seed)
     ok, worst_resid = True, 0.0
     for _ in range(subsets):
         subset = _random_subset(rng, fit.m + 16)
-        solution = stein_mod.solve_binomial_stein(fit.m, fit.theta, subset)
-        report = stein_mod.check_binomial_lemma31(solution, fit.m, fit.theta, subset)
+        solution = stein_mod._solve_binomial(fit.m, fit.theta, target, subset)
+        report = stein_mod._check_lemma31(solution, fit.m, fit.theta, target, subset)
         ok = ok and report.ok and solution.residual_sup <= _STEIN_RESIDUAL_TOL
         worst_resid = max(worst_resid, solution.residual_sup)
     return ok, [f"subsets: {subsets}, max residual: {worst_resid:.3g}"]
@@ -175,9 +189,9 @@ def _coupling(
     return ok, lines
 
 
-def _lemma21(params: ChainParams, n: int) -> _Check:
-    """Shift TV of the sum out of state 0 within gamma(n)."""
-    value = shift_tv(exact_pmf(params, n, start="state0"))
+def _lemma21(params: ChainParams, n: int, law: Pmf) -> _Check:
+    """Shift TV of ``law``, the n-step sum out of state 0, within gamma(n)."""
+    value = shift_tv(law)
     limit = bounds_mod.gamma_fn(bounds_mod.bound_constants(params), n)
     return value <= limit, [
         f"shift TV = {value:.6g}, gamma(n) = {limit:.6g}, slack = {limit - value:.6g}"
@@ -199,10 +213,11 @@ def _lemma22(step: float, n_max: int) -> _Check:
     return violations == 0, [f"scanned {cells} cells, {violations} violations"]
 
 
-def _lemma24(params: ChainParams, n: int, indices: Iterable[int]) -> _Check:
-    """Lemma 2.4 at each index, with the worst sup-side and probe-side margins."""
+def _lemma24(reports: dict[int, stein_mod.Lemma24Report]) -> _Check:
+    """Lemma 2.4 at each reported index, with the worst sup-side and
+    probe-side margins."""
     ok, worst_sup, worst_delta = True, -math.inf, -math.inf
-    for report in stein_mod._lemma24_reports(params, n, indices).values():
+    for report in reports.values():
         ok = ok and report.ok
         worst_sup = max(worst_sup, report.tv2 - report.rhs_sup)
         worst_delta = max(worst_delta, report.probe_max - report.rhs_delta)
@@ -240,15 +255,56 @@ def _sweep_stein(row: dict[str, Any], params: ChainParams, n: int, seed: int) ->
         return None, []
 
 
+def _sweep_indices(n: int) -> list[int]:
+    """The Lemma 2.4 indices a sweep row checks: 1, (n+1)//2 and n."""
+    return sorted({1, (n + 1) // 2, n})
+
+
+def _sweep_laws(params: ChainParams, config: SweepConfig) -> dict[str, dict[int, Pmf]]:
+    """Every exact law the rows of one (alpha, beta) read, keyed by start
+    and number of steps, from one DP pass per start state to the largest
+    number of steps that start needs: the law of S for every n, the sum
+    out of state 0 for ``lemma21`` and, for ``lemma24``, the segment laws
+    out of either state for each checked index i (i - 1 and n - i steps).
+    They take about 6n doubles per n in the list.
+    """
+    sums = set(config.n_list)
+    segments = set()
+    if "lemma24" in config.checks:
+        segments = {k for n in sums for i in _sweep_indices(n) for k in (i - 1, n - i)}
+    lemma21 = sums if "lemma21" in config.checks else set()
+    steps = {"stationary": sums, "state0": lemma21 | segments, "state1": segments}
+    return {start: _pass_snapshots(params, start, ks) for start, ks in steps.items() if ks}
+
+
+def _sweep_lemma24(
+    params: ChainParams, n: int, laws: dict[str, dict[int, Pmf]]
+) -> dict[int, stein_mod.Lemma24Report]:
+    """The Lemma 2.4 reports of a sweep row, from the shared laws of
+    ``_sweep_laws``."""
+
+    def given(start: str, i: int) -> Pmf:
+        return _conditional_law(laws[start][i - 1], laws[start][n - i], n)
+
+    conditionals = ((i, given("state1", i), given("state0", i)) for i in _sweep_indices(n))
+    return stein_mod._lemma24_compare(params, n, laws["stationary"][n], conditionals)
+
+
 def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
-    """Evaluate the whole grid and write the report file."""
+    """Evaluate the whole grid and write the report file.
+
+    Each (alpha, beta) takes its exact laws from one DP pass per start state
+    (``_sweep_laws``), so the rows of all its n share them; every row is
+    the one its point gives on its own.
+    """
     rows = []
     index = 0
     for alpha in config.alpha_grid:
         for beta in config.beta_grid:
             params = ChainParams(alpha, beta)
+            laws = _sweep_laws(params, config)
             for n in config.n_list:
-                row = evaluate_point(params, n, exact=True)
+                row = _point_row(params, n, lambda: laws["stationary"][n])
                 seed = _row_seed(config.seed, index)
                 if "bounds" in config.checks:
                     row["check_bounds"] = _verdict(_check_bounds(row))
@@ -257,10 +313,9 @@ def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
                 if "coupling" in config.checks:
                     row["check_coupling"] = _verdict(_coupling(params, seed, *_SWEEP_COUPLING))
                 if "lemma21" in config.checks:
-                    row["check_lemma21"] = _verdict(_lemma21(params, n))
+                    row["check_lemma21"] = _verdict(_lemma21(params, n, laws["state0"][n]))
                 if "lemma24" in config.checks:
-                    lemma24 = _lemma24(params, n, sorted({1, (n + 1) // 2, n}))
-                    row["check_lemma24"] = _verdict(lemma24)
+                    row["check_lemma24"] = _verdict(_lemma24(_sweep_lemma24(params, n, laws)))
                 rows.append(row)
                 index += 1
     _write_report(config.output_path, _render(config, rows))
@@ -403,9 +458,14 @@ _SUITES = {
     "stein-binomial": (_POINT, lambda a, p: _stein_binomial(p, a.n, a.seed, a.subsets)),
     "coupling": (("alpha", "beta"), lambda a, p: _coupling(p, a.seed, a.samples, *_VERIFY_COUPLING)),
     "mc-exact": (_POINT, lambda a, p: _mc_exact(p, a.n, a.samples, a.seed, a.tol)),
-    "lemma21": (_POINT, lambda a, p: _lemma21(p, a.n)),
+    "lemma21": (_POINT, lambda a, p: _lemma21(p, a.n, exact_pmf(p, a.n, "state0"))),
     "lemma22": ((), lambda a, p: _lemma22(a.step, a.n_max)),
-    "lemma24": (_POINT, lambda a, p: _lemma24(p, a.n, [a.index] if a.index else range(1, a.n + 1))),
+    "lemma24": (
+        _POINT,
+        lambda a, p: _lemma24(
+            stein_mod._lemma24_reports(p, a.n, [a.index] if a.index else range(1, a.n + 1))
+        ),
+    ),
 }
 
 

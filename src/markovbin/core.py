@@ -255,6 +255,21 @@ def _snapshot(state: _DpState, k: int) -> Pmf:
     return Pmf(mass, tail=float(tail), tol=_exact_tol(k))
 
 
+def _pass_snapshots(params: ChainParams, start: Start, steps: Iterable[int]) -> dict[int, Pmf]:
+    """``exact_pmf(params, k, start)`` for every k in ``steps``, bit for bit and
+    tail included, from one DP pass to the largest k; k = 0 gives the law
+    of the empty sum."""
+    wanted = set(steps)
+    top = max(wanted)
+    if top > MAX_EXACT_N:
+        raise ValueError(f"n={top} exceeds MAX_EXACT_N={MAX_EXACT_N}")
+    laws = {}
+    for k, state in enumerate(_dp_pass(params, top, start)):
+        if k in wanted:
+            laws[k] = _snapshot(state, k)
+    return laws
+
+
 def exact_pmf(params: ChainParams, n: int, start: Start = "stationary") -> Pmf:
     """Exact law of the n-step sum under the given start.
 
@@ -336,12 +351,9 @@ def _pass_conditionals(
 
     The pass keeps its state after s steps for each shorter side s, and
     emits a group when it reaches the longer side n - 1 - s; the kept law is
-    then dropped.  Groups therefore come out from the middle outwards.  The
-    convolution takes the left segment first, as ``exact_conditional_pmf``
-    defines it.
+    then dropped.  Groups therefore come out from the middle outwards.
     """
     kept: dict[int, Pmf] = {}
-    tol = _exact_tol(n)
     for k, state in enumerate(_dp_pass(params, n - 1 - min(groups), start)):
         if k in groups:
             kept[k] = _snapshot(state, k)
@@ -351,9 +363,15 @@ def _pass_conditionals(
             short_law = kept.pop(s)
             for i in groups[s]:
                 left, right = (short_law, long_law) if i - 1 < n - i else (long_law, short_law)
-                yield i, Pmf(
-                    np.convolve(left.mass, right.mass), tail=left.tail + right.tail, tol=tol
-                )
+                yield i, _conditional_law(left, right, n)
+
+
+def _conditional_law(left: Pmf, right: Pmf, n: int) -> Pmf:
+    """L(S - X_i | X_i = j) for an n-step sum, from the laws of its left
+    segment (i - 1 steps out of j) and right segment (n - i steps out of j):
+    their convolution, left first, carrying both segments' dropped mass and
+    the tolerance of an n-step exact law."""
+    return Pmf(np.convolve(left.mass, right.mass), tail=left.tail + right.tail, tol=_exact_tol(n))
 
 
 def exact_conditional_pmf(params: ChainParams, n: int, i: int, j: int) -> Pmf:
@@ -464,11 +482,15 @@ def tv_distance(p: "Pmf | Sequence[float]", q: "Pmf | Sequence[float]") -> float
     """
     a = _as_mass(p)
     b = _as_mass(q)
-    if a.size < b.size:
-        a = np.concatenate((a, np.zeros(b.size - a.size)))
-    elif b.size < a.size:
-        b = np.concatenate((b, np.zeros(a.size - b.size)))
-    return 0.5 * float(np.abs(a - b).sum())
+    size = max(a.size, b.size)
+    return 0.5 * float(np.abs(_zero_padded(a, size) - _zero_padded(b, size)).sum())
+
+
+def _zero_padded(mass: np.ndarray, size: int) -> np.ndarray:
+    """``mass`` extended with zeros to ``size`` entries (itself if it has them)."""
+    if mass.size == size:
+        return mass
+    return np.concatenate((mass, np.zeros(size - mass.size)))
 
 
 def shift_tv(p: "Pmf | Sequence[float]") -> float:

@@ -184,8 +184,6 @@ def _kernel_table(params: ChainParams) -> tuple[np.ndarray, ...]:
     return t1, t2, out3
 
 
-
-
 def _first_passages(
     table: tuple[np.ndarray, ...], num_samples: int, seed: int, purpose: int, step_cap: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -195,9 +193,16 @@ def _first_passages(
     each copy's first entry time into {0, 3} and into 0 (0 where not reached
     within ``step_cap`` steps), whether it reached 0, and the number of
     lockstep transitions that left {0, 3} after entering it.
+
+    A lockstep step is one index and one table lookup.  Since t1 <= t2, the
+    number of the thresholds t1[s] and t2[s] that u reaches is 0 (move to
+    0), 1 (move to 3) or 2 (move to out3[s]), and ``lut[3*s + that
+    number]`` is the next state: ``lut`` lists (0, 3, out3[s]) for each
+    state s in turn.
     """
     t1, t2, out3 = table
-    state = np.full(num_samples, _SPLIT_10, dtype=np.int8)
+    lut = np.stack((np.zeros(4, np.intp), np.full(4, 3, np.intp), out3), axis=1).ravel()
+    state = np.full(num_samples, _SPLIT_10, dtype=np.intp)
     varsigma = np.zeros(num_samples, dtype=np.int64)
     tau = np.zeros(num_samples, dtype=np.int64)
     met = np.zeros(num_samples, dtype=bool)
@@ -209,9 +214,7 @@ def _first_passages(
     while t < horizon and not done.all():
         t += 1
         u = _stream(seed, purpose, t).random(num_samples)
-        state = np.where(
-            u < t1[state], np.int8(0), np.where(u < t2[state], np.int8(3), out3[state])
-        ).astype(np.int8)
+        state = lut[3 * state + (u >= t1[state]) + (u >= t2[state])]
         on_diag = (state == 0) | (state == 3)
         violations += int(np.count_nonzero(met & ~on_diag))
         newly_met = on_diag & ~met

@@ -114,11 +114,18 @@ def _classify_moments(mean: float, variance: float) -> Regime:
 
 
 def _regime(params: ChainParams, moments: MomentSummary) -> Regime:
-    """The regime of the moments, with the self-check of ``classify_regime``."""
+    """The regime of the moments, with the self-check of ``classify_regime``.
+
+    Only a strict overdispersed outcome is checked against beta >= alpha:
+    inside the equidispersion band the sign of Var S - E S is below the
+    resolution of the test, so it cannot contradict Lemma 2.2.  Tiny rates
+    with beta < alpha land there, e.g. (1e-14, 1e-16), where |Var S - E S|
+    is about 1e-14 relative, and (1e-30, 1e-100), where it is 0.
+    """
     regime = _classify_moments(moments.mean, moments.variance)
-    if regime is not Regime.UNDERDISPERSED and not params.beta >= params.alpha:
+    if regime is Regime.OVERDISPERSED and not params.beta >= params.alpha:
         raise ConsistencyError(
-            f"Var S >= E S with beta={params.beta} <= alpha={params.alpha}: "
+            f"Var S > E S with beta={params.beta} < alpha={params.alpha}: "
             "this contradicts the dispersion/monotonicity relation"
         )
     return regime
@@ -169,9 +176,9 @@ def _fit(params: ChainParams, n: int, moments: MomentSummary, regime: Regime) ->
 def classify_regime(params: ChainParams, n: int) -> Regime:
     """Compare Var S against E S and name the matching regime.
 
-    As a self-check, a non-underdispersed outcome must come with
-    beta >= alpha; a violation cannot be produced by valid inputs and is
-    raised as a ConsistencyError.
+    As a self-check, an overdispersed outcome (Var S - E S above the
+    equidispersion band) must come with beta >= alpha; a violation cannot
+    be produced by valid inputs and is raised as a ConsistencyError.
     """
     return _regime(params, moments_closed_form(params, n))
 

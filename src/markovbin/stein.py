@@ -27,6 +27,7 @@ from .core import (
     ChainParams,
     Pmf,
     _conditional_laws,
+    _zero_padded,
     exact_pmf,
     moments_from_pmf,
     tv_distance,
@@ -181,14 +182,15 @@ def solve_binomial_stein(m: int, theta: float, subset: Iterable[int]) -> SteinSo
     m + _BINOMIAL_EXTEND (64) for the checks; ``subset`` may contain points
     up to there, but only its intersection with 0..m carries mass.
     """
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
+    return _solve_binomial(m, theta, binomial_pmf(m, theta).mass, subset)
+
+
+def _solve_binomial(m: int, theta: float, pi: np.ndarray, subset: Iterable[int]) -> SteinSolution:
+    """``solve_binomial_stein`` with the target mass ``pi`` of Bi(m, theta)
+    already tabulated, so that many subsets share one tabulation."""
     top = m + _BINOMIAL_EXTEND
     members = _normalize_subset(subset, top)
 
-    pi = binomial_pmf(m, theta).mass
     on_support = members[members <= m]
     p_set = float(pi[on_support].sum())
     f = np.zeros(top + 1)
@@ -248,10 +250,17 @@ def check_binomial_lemma31(
     """Check the one-sided equation, the difference norm bound
     1/(m*theta*(1-theta)), the exact boundary difference at j = m and the
     vanishing differences past m."""
+    return _check_lemma31(solution, m, theta, binomial_pmf(m, theta).mass, subset)
+
+
+def _check_lemma31(
+    solution: SteinSolution, m: int, theta: float, pi: np.ndarray, subset: Iterable[int]
+) -> BinomialSteinReport:
+    """``check_binomial_lemma31`` with the target mass ``pi`` of Bi(m, theta)
+    already tabulated."""
     g = solution.g
     top = g.size - 1
     members = _normalize_subset(subset, top)
-    pi = binomial_pmf(m, theta).mass
     p_set = float(pi[members[members <= m]].sum())
     f = np.zeros(top)
     f[members[members < top]] = 1.0
@@ -323,13 +332,27 @@ def _lemma24_reports(
 ) -> dict[int, Lemma24Report]:
     """Lemma 2.4 reports for each index, keyed by index in ascending order.
 
-    Everything that does not depend on the index (the constants, the
-    smoothing factor, both right-hand sides and L(S)) is computed once.  The
-    conditional laws come from one DP pass out of each state, run in
+    The conditional laws come from one DP pass out of each state, run in
     lockstep, so the cost is about 3n DP steps plus the convolutions
     (O(n^3/6) multiply-adds for every index).  The kept shorter-side laws
     take about n^2/4 doubles; past 2 * ``core._KEPT_DOUBLES`` (64 MB, every
     index at n of about 5 800) each state takes more passes instead.
+    """
+    indices = list(indices)
+    laws = zip(_conditional_laws(params, n, indices, 1), _conditional_laws(params, n, indices, 0))
+    law_s = exact_pmf(params, n)
+    return _lemma24_compare(
+        params, n, law_s, ((i, law1, law0) for (i, law1), (_, law0) in laws)
+    )
+
+
+def _lemma24_compare(
+    params: ChainParams, n: int, law_s: Pmf, laws: Iterable[tuple[int, Pmf, Pmf]]
+) -> dict[int, Lemma24Report]:
+    """Lemma 2.4 reports from the law of S and, for each index i, the laws
+    of S - X_i given X_i = 1 and given X_i = 0; keyed by index in ascending
+    order.  Everything that does not depend on the index (the constants,
+    the smoothing factor and both right-hand sides) is computed once.
     """
     consts = bound_constants(params)
     amax = max(params.alpha, params.beta)
@@ -341,20 +364,16 @@ def _lemma24_reports(
         / (1.0 - amax) ** 2
         * smoothing
     )
-    indices = list(indices)
-    laws = zip(_conditional_laws(params, n, indices, 1), _conditional_laws(params, n, indices, 0))
-    law_s = exact_pmf(params, n)
 
     reports = {}
-    for (i, law1), (_, law0) in laws:
+    for i, law1, law0 in laws:
         tv2 = 2.0 * tv_distance(law1, law_s)
         ok_sup = tv2 <= rhs_sup + _LEMMA24_TOL
 
         # E dh_t(S) = -P(S = t) for the threshold probe h_t, so the probed
         # left side is |F1(t) - F0(t) + (mean1 - mean0) * P(S = t)|.
-        width = n + 1
-        pmf1 = np.pad(law1.mass, (0, width - law1.mass.size))
-        pmf0 = np.pad(law0.mass, (0, width - law0.mass.size))
+        pmf1 = _zero_padded(law1.mass, n + 1)
+        pmf0 = _zero_padded(law0.mass, n + 1)
         mean1 = moments_from_pmf(law1)[0]
         mean0 = moments_from_pmf(law0)[0]
         probes = np.abs(np.cumsum(pmf1 - pmf0) + (mean1 - mean0) * law_s.mass)

@@ -392,3 +392,132 @@ def test_evaluate_point_matches_public_composition():
         assert repr(row) == repr(_composed_row(params, n)), (params, n)
     assert {row["regime"] for row in rows} == {"overdispersed", "underdispersed"}
     assert {row["status"] for row in rows} == {"ok", "degenerate_fit"}
+
+
+def _unshared_row(params, n, seed, checks):
+    """The sweep row built the unshared way: ``evaluate_point``, then each
+    check called on its own with laws computed for that point alone."""
+    from markovbin.cli import (
+        _SWEEP_COUPLING, _check_bounds, _coupling, _lemma21, _lemma24, _sweep_indices,
+        _sweep_stein, _verdict,
+    )
+
+    row = evaluate_point(params, n)
+    if "bounds" in checks:
+        row["check_bounds"] = _verdict(_check_bounds(row))
+    if "stein" in checks:
+        row["check_stein"] = _verdict(_sweep_stein(row, params, n, seed))
+    if "coupling" in checks:
+        row["check_coupling"] = _verdict(_coupling(params, seed, *_SWEEP_COUPLING))
+    if "lemma21" in checks:
+        row["check_lemma21"] = _verdict(_lemma21(params, n, exact_pmf(params, n, "state0")))
+    if "lemma24" in checks:
+        reports = _lemma24_reports(params, n, _sweep_indices(n))
+        row["check_lemma24"] = _verdict(_lemma24(reports))
+    return row
+
+
+def _assert_sweep_matches_unshared(tmp_path, alphas, betas, ns, checks, seed=9):
+    from markovbin.cli import _row_seed
+
+    config = SweepConfig(
+        alpha_grid=alphas, beta_grid=betas, n_list=ns, checks=checks,
+        seed=seed, output_path=str(tmp_path / "sweep.csv"),
+    )
+    rows = run_sweep(config)
+    points = [(ChainParams(a, b), n) for a in alphas for b in betas for n in ns]
+    assert len(rows) == len(points)
+    for index, (row, (params, n)) in enumerate(zip(rows, points)):
+        wanted = _unshared_row(params, n, _row_seed(seed, index), checks)
+        # repr keeps key order, int-vs-float and every bit of each float
+        assert repr(row) == repr(wanted), (params, n)
+    return rows
+
+
+class TestSweepEngine:
+    """``run_sweep`` shares one DP pass per start state across the rows of
+    each (alpha, beta); every row must equal the one its point gives alone."""
+
+    ALL = ("bounds", "stein", "coupling", "lemma21", "lemma24")
+
+    def test_unsorted_repeated_n_both_regimes(self, tmp_path):
+        # both regimes, equal rates at (0.1, 0.1) and (0.4, 0.4), and the
+        # degenerate fit at (0.9, 0.1, 10)
+        rows = _assert_sweep_matches_unshared(
+            tmp_path, (0.1, 0.4, 0.9), (0.1, 0.4, 0.8), (60, 1, 7, 60, 2, 10), self.ALL
+        )
+        assert [row["n"] for row in rows[:6]] == [60, 1, 7, 60, 2, 10]
+        assert {row["regime"] for row in rows} == {"overdispersed", "underdispersed"}
+        assert {row["status"] for row in rows} == {"ok", "degenerate_fit"}
+        assert {row["check_stein"] for row in rows} == {"pass", "skipped"}
+
+    @pytest.mark.parametrize(
+        "checks",
+        [(), ("lemma24",), ("lemma21",), ("bounds", "stein"), ("coupling", "lemma21", "lemma24")],
+    )
+    def test_subsets_of_checks(self, tmp_path, checks):
+        _assert_sweep_matches_unshared(tmp_path, (0.2, 0.7), (0.3, 0.7), (25, 3, 1, 25), checks)
+
+    @staticmethod
+    def _assert_shared_laws_are_unshared(params, config):
+        """Every law ``_sweep_laws`` shares is the point's own exact law, and
+        every row's Lemma 2.4 reports equal the unshared ones; returns the
+        shared laws."""
+        from markovbin.cli import _sweep_indices, _sweep_laws, _sweep_lemma24
+
+        laws = _sweep_laws(params, config)
+        for start, by_steps in laws.items():
+            for k, law in by_steps.items():
+                if k == 0:
+                    assert (law.mass.tolist(), law.tail) == ([1.0], 0.0)
+                    continue
+                wanted = exact_pmf(params, k, start)
+                assert law.mass.tobytes() == wanted.mass.tobytes()
+                assert (law.tail, law.tol) == (wanted.tail, wanted.tol)
+        for n in config.n_list:
+            assert _sweep_lemma24(params, n, laws) == _lemma24_reports(params, n, _sweep_indices(n))
+        return laws
+
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.6), (0.6, 0.25), (0.4, 0.4)])
+    def test_shared_laws_are_unshared_laws(self, tmp_path, alpha, beta):
+        config = SweepConfig(
+            alpha_grid=(alpha,), beta_grid=(beta,), n_list=(60, 1, 7, 60, 2), checks=self.ALL,
+            seed=0, output_path=str(tmp_path / "sweep.csv"),
+        )
+        laws = self._assert_shared_laws_are_unshared(ChainParams(alpha, beta), config)
+        assert sorted(laws) == ["state0", "state1", "stationary"]
+
+    def test_laws_with_dropped_mass(self, tmp_path):
+        checks = ("bounds", "lemma21", "lemma24")
+        config = SweepConfig(
+            alpha_grid=(0.5,), beta_grid=(0.5,), n_list=(1100, 3), checks=checks,
+            seed=0, output_path=str(tmp_path / "sweep.csv"),
+        )
+        laws = self._assert_shared_laws_are_unshared(ChainParams(0.5, 0.5), config)
+        assert laws["stationary"][1100].tail > 0.0
+        assert laws["state0"][1100].tail > 0.0 and laws["state1"][1099].tail > 0.0
+        _assert_sweep_matches_unshared(tmp_path, (0.5,), (0.5,), (1100, 3), checks)
+
+    def test_dp_work_per_sweep(self, tmp_path, monkeypatch):
+        # the benchmark's sweep-grid shape: 6 points, n up to 250, all checks
+        import markovbin.core as core
+
+        passes, dp_pass = [], core._dp_pass
+
+        def counting(*args):
+            passes.append(0)
+            for state in dp_pass(*args):
+                passes[-1] += 1
+                yield state
+
+        monkeypatch.setattr(core, "_dp_pass", counting)
+        config = SweepConfig(
+            alpha_grid=(0.1, 0.8), beta_grid=(0.35, 0.45, 0.55),
+            n_list=(12, 25, 50, 100, 175, 250), checks=self.ALL,
+            seed=4, output_path=str(tmp_path / "sweep.csv"),
+        )
+        run_sweep(config)
+        # per point: the stationary and state-0 passes to n = 250 and the
+        # state-1 pass to n - 1 = 249, counting each pass's start state
+        assert len(passes) == 3 * 6
+        assert sum(passes) == 6 * (251 + 251 + 250) == 4512

@@ -20,7 +20,9 @@ from markovbin import (
     poisson_pmf,
     tv_distance,
 )
-from markovbin.fit import _bin_fit_from_moments, _nb_fit_from_moments
+from markovbin.cli import evaluate_point
+from markovbin.core import MomentSummary
+from markovbin.fit import ConsistencyError, _bin_fit_from_moments, _nb_fit_from_moments, _regime
 
 from oracles import binom_pmf_reference, nb_pmf_reference, poisson_pmf_reference
 
@@ -46,6 +48,24 @@ class TestClassifyRegime:
         regime = classify_regime(ChainParams(alpha, beta), n)
         if regime is not Regime.UNDERDISPERSED:
             assert beta > alpha
+
+    @pytest.mark.parametrize("n", [1, 10, 3000])
+    @pytest.mark.parametrize("alpha,beta", [(1e-14, 1e-16), (1e-16, 1e-30), (1e-30, 1e-100)])
+    def test_tiny_rates_below_alpha_are_equidispersed(self, alpha, beta, n):
+        # |Var S - E S| is 3e-14 relative or less here (0 at (1e-30, 1e-100)),
+        # inside the equidispersion band: a Poisson-limit row, not an error
+        params = ChainParams(alpha, beta)
+        assert classify_regime(params, n) is Regime.EQUIDISPERSED
+        row = evaluate_point(params, n)
+        assert (row["status"], row["regime"], row["poisson_limit"]) == ("ok", "equidispersed", True)
+        assert math.isfinite(row["bound"])
+        assert row["tv_exact"] <= row["bound_clipped"] + row["tail_mass"] + 1e-12
+
+    def test_overdispersed_moments_below_alpha_still_raise(self):
+        moments = MomentSummary(mean=1.0, variance=2.0, a0=0.0, a1=0.0)
+        with pytest.raises(ConsistencyError):
+            _regime(ChainParams(0.6, 0.3), moments)
+        assert _regime(ChainParams(0.3, 0.6), moments) is Regime.OVERDISPERSED
 
 
 class TestFitNegativeBinomial:
