@@ -28,7 +28,8 @@ from .core import (
     tv_distance,
 )
 from .fit import (
-    DegenerateFitError, Regime, RegimeError, _fit, _reference, _regime, binomial_pmf, fit_binomial
+    BinFit, DegenerateFitError, NbFit, RegimeError, _fit, _reference, _regime, fit_binomial,
+    fit_negative_binomial,
 )
 
 __all__ = ["SweepConfig", "cmd_fit", "cmd_sweep", "cmd_verify", "run_sweep", "main"]
@@ -69,14 +70,16 @@ class SweepConfig:
 
 def evaluate_point(params: ChainParams, n: int, *, exact: bool = True) -> dict[str, Any]:
     """One report record: moments, regime, fit, bound and optional exact TV."""
-    return _point_row(params, n, (lambda: exact_pmf(params, n)) if exact else None)
+    return _point_row(params, n, (lambda: exact_pmf(params, n)) if exact else None)[0]
 
 
 def _point_row(
     params: ChainParams, n: int, exact_law: Callable[[], Pmf] | None
-) -> dict[str, Any]:
+) -> tuple[dict[str, Any], NbFit | BinFit | None, Pmf | None]:
     """``evaluate_point`` with the exact law of S supplied by ``exact_law``,
-    which is called only where there is a fit to compare it with."""
+    which is called only where there is a fit to compare it with; returns
+    the record with the fit and its reference law (both None where the fit
+    degenerates)."""
     moments = moments_closed_form(params, n)
     regime = _regime(params, moments)
     row: dict[str, Any] = {
@@ -93,7 +96,7 @@ def _point_row(
         fit = _fit(params, n, moments, regime)
     except DegenerateFitError:
         row["status"] = "degenerate_fit"
-        return row
+        return row, None, None
     # a Poisson limit reports only its flag: r = inf and q = 1 carry no fit
     fields = {"poisson_limit": True} if getattr(fit, "poisson_limit", False) else vars(fit)
     row.update({key: value for key, value in fields.items() if key in _FIT_FIELDS})
@@ -104,15 +107,18 @@ def _point_row(
     row["tail_mass"] = reference.tail
     if exact_law is not None:
         row["tv_exact"] = tv_distance(exact_law(), reference)
-    return row
+    return row, fit, reference
 
 
 def _row_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed & ((1 << 63) - 1), index]).generate_state(1)[0])
 
 
-def _random_subset(rng: np.random.Generator, upper: int) -> np.ndarray:
-    return np.flatnonzero(rng.random(upper + 1) < 0.5)
+def _random_subsets(rng: np.random.Generator, upper: int, count: int) -> list[np.ndarray]:
+    """``count`` random subsets of 0..upper, each point in with probability
+    1/2; one draw of ``count`` rows reads the stream as ``count`` successive
+    draws of one row would."""
+    return [np.flatnonzero(row < 0.5) for row in rng.random((count, upper + 1))]
 
 
 # Each check returns (ok, report lines); ok is None when the check does not
@@ -130,15 +136,14 @@ def _check_bounds(row: dict[str, Any]) -> _Check:
     return row["tv_exact"] <= min(1.0, row["bound"]) + row["tail_mass"] + 1e-12, lines
 
 
-def _stein_nb(params: ChainParams, n: int, seed: int, subsets: int) -> _Check:
-    """Negative binomial Stein solutions for random subsets: residual and
-    sup|dg'| <= 1/a."""
-    setup = stein_mod.NbSteinSetup.from_chain(params, n)
+def _stein_nb(fit: NbFit, target: Pmf, seed: int, subsets: int) -> _Check:
+    """Negative binomial Stein solutions of the fit's reference law
+    ``target`` for random subsets: residual and sup|dg'| <= 1/a."""
+    setup = stein_mod._nb_setup(fit, target)
     rng = np.random.default_rng(seed)
-    top = setup.target.mass.size - 1
+    solutions = stein_mod._solve_nb(setup, _random_subsets(rng, target.mass.size - 1, subsets))
     ok, worst_resid, worst_margin = True, 0.0, math.inf
-    for _ in range(subsets):
-        solution = stein_mod.solve_nb_stein(setup, _random_subset(rng, top))
+    for solution in solutions:
         report = stein_mod.check_nb_delta_bound(solution, setup.a)
         ok = ok and report.ok and solution.residual_sup <= _STEIN_RESIDUAL_TOL
         worst_resid = max(worst_resid, solution.residual_sup)
@@ -149,16 +154,13 @@ def _stein_nb(params: ChainParams, n: int, seed: int, subsets: int) -> _Check:
     ]
 
 
-def _stein_binomial(params: ChainParams, n: int, seed: int, subsets: int) -> _Check:
-    """Binomial Stein solutions for random subsets: residual and Lemma 3.1."""
-    fit = fit_binomial(params, n)
-    target = binomial_pmf(fit.m, fit.theta).mass
+def _stein_binomial(fit: BinFit, target: Pmf, seed: int, subsets: int) -> _Check:
+    """Binomial Stein solutions of the fit's reference law ``target`` for
+    random subsets: residual and Lemma 3.1."""
     rng = np.random.default_rng(seed)
+    sets = _random_subsets(rng, fit.m + 16, subsets)
     ok, worst_resid = True, 0.0
-    for _ in range(subsets):
-        subset = _random_subset(rng, fit.m + 16)
-        solution = stein_mod._solve_binomial(fit.m, fit.theta, target, subset)
-        report = stein_mod._check_lemma31(solution, fit.m, fit.theta, target, subset)
+    for solution, report in stein_mod._binomial_stein(fit.m, fit.theta, target.mass, sets):
         ok = ok and report.ok and solution.residual_sup <= _STEIN_RESIDUAL_TOL
         worst_resid = max(worst_resid, solution.residual_sup)
     return ok, [f"subsets: {subsets}, max residual: {worst_resid:.3g}"]
@@ -246,13 +248,13 @@ def _verdict(check: _Check) -> str:
     return "skipped" if ok is None else "pass" if ok else "fail"
 
 
-def _sweep_stein(row: dict[str, Any], params: ChainParams, n: int, seed: int) -> _Check:
-    if row["regime"] != Regime.UNDERDISPERSED.value:
-        return _stein_nb(params, n, seed, _SWEEP_STEIN_SUBSETS)
-    try:
-        return _stein_binomial(params, n, seed, _SWEEP_STEIN_SUBSETS)
-    except DegenerateFitError:
+def _sweep_stein(fit: NbFit | BinFit | None, reference: Pmf | None, seed: int) -> _Check:
+    """The Stein check of a sweep row's fit and reference law; a degenerate
+    fit (None) has nothing to solve."""
+    if fit is None:
         return None, []
+    check = _stein_binomial if isinstance(fit, BinFit) else _stein_nb
+    return check(fit, reference, seed, _SWEEP_STEIN_SUBSETS)
 
 
 def _sweep_indices(n: int) -> list[int]:
@@ -304,12 +306,12 @@ def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
             params = ChainParams(alpha, beta)
             laws = _sweep_laws(params, config)
             for n in config.n_list:
-                row = _point_row(params, n, lambda: laws["stationary"][n])
+                row, fit, reference = _point_row(params, n, lambda: laws["stationary"][n])
                 seed = _row_seed(config.seed, index)
                 if "bounds" in config.checks:
                     row["check_bounds"] = _verdict(_check_bounds(row))
                 if "stein" in config.checks:
-                    row["check_stein"] = _verdict(_sweep_stein(row, params, n, seed))
+                    row["check_stein"] = _verdict(_sweep_stein(fit, reference, seed))
                 if "coupling" in config.checks:
                     row["check_coupling"] = _verdict(_coupling(params, seed, *_SWEEP_COUPLING))
                 if "lemma21" in config.checks:
@@ -447,6 +449,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+def _stein_suite(fit_for: Callable, check: Callable) -> Callable:
+    """A verify suite running ``check`` on the fit ``fit_for`` gives the
+    point and its reference law."""
+
+    def run(args: argparse.Namespace, params: ChainParams) -> _Check:
+        fit = fit_for(params, args.n)
+        return check(fit, _reference(fit), args.seed, args.subsets)
+
+    return run
+
+
 # Verify budgets: one suite runs at the budget given on the command line;
 # the coupling test is 4 sigma on varsigma tails for m <= 6, tau tails m <= 8.
 _VERIFY_COUPLING = (4.0, 6, 8)  # sigmas, largest m of the varsigma and tau tails
@@ -454,8 +467,8 @@ _POINT = ("alpha", "beta", "n")
 # suite -> (options it requires, its check on the options and the chain they name)
 _SUITES = {
     "bounds": (_POINT, lambda a, p: _check_bounds(evaluate_point(p, a.n))),
-    "stein-nb": (_POINT, lambda a, p: _stein_nb(p, a.n, a.seed, a.subsets)),
-    "stein-binomial": (_POINT, lambda a, p: _stein_binomial(p, a.n, a.seed, a.subsets)),
+    "stein-nb": (_POINT, _stein_suite(fit_negative_binomial, _stein_nb)),
+    "stein-binomial": (_POINT, _stein_suite(fit_binomial, _stein_binomial)),
     "coupling": (("alpha", "beta"), lambda a, p: _coupling(p, a.seed, a.samples, *_VERIFY_COUPLING)),
     "mc-exact": (_POINT, lambda a, p: _mc_exact(p, a.n, a.samples, a.seed, a.tol)),
     "lemma21": (_POINT, lambda a, p: _lemma21(p, a.n, exact_pmf(p, a.n, "state0"))),

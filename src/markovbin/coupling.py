@@ -19,14 +19,18 @@ Streams are counter-based.  Block t of draws comes from a Philox generator
 whose 256-bit counter encodes (purpose, t), and sample i always reads
 position i of each block, so a sample is a pure function of (seed, i):
 changing the number of samples, or splitting work across workers, never
-changes an individual draw.  The rare sample still running after the fixed
-lockstep horizon switches to a private stream keyed by its index.
+changes an individual draw.  The first-passage lockstep advances only the
+samples still running: it draws block t only up to the last running index
+and reads just the running samples' words of it, so a finished sample costs
+nothing.  The rare sample still running after the fixed lockstep horizon
+switches to a private stream keyed by its index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -59,11 +63,37 @@ _PURPOSE_BLOCKS = 3
 _TAIL_FLAG = 1 << 8
 
 _KEY_MASK = (1 << 128) - 1
+_WORD_MASK = (1 << 64) - 1
+
+
+def _counter(purpose: int, block: int) -> int:
+    return (purpose << 192) | (block << 64)
 
 
 def _stream(seed: int, purpose: int, block: int) -> np.random.Generator:
-    counter = (purpose << 192) | (block << 64)
-    return np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK, counter=counter))
+    philox = np.random.Philox(key=int(seed) & _KEY_MASK, counter=_counter(purpose, block))
+    return np.random.Generator(philox)
+
+
+def _block_words(seed: int, purpose: int) -> Callable[[int, int], np.ndarray]:
+    """``words(block, size)``: the first ``size`` raw words of
+    ``_stream(seed, purpose, block)``, which its ``random`` turns into
+    uniforms.  One Philox generator is re-seated on each block's counter,
+    since setting its state costs a few microseconds and building a new one
+    about 30 times more.
+    """
+    philox = np.random.Philox(key=int(seed) & _KEY_MASK)
+    state = philox.state
+
+    def words(block: int, size: int) -> np.ndarray:
+        counter = _counter(purpose, block)
+        state["state"]["counter"] = np.array(
+            [(counter >> shift) & _WORD_MASK for shift in (0, 64, 128, 192)], dtype=np.uint64
+        )
+        philox.state = state
+        return philox.random_raw(size)
+
+    return words
 
 
 def _tail_stream(seed: int, purpose: int, index: int) -> np.random.Generator:
@@ -192,55 +222,61 @@ def _first_passages(
     ``table`` is ``(t1, t2, out3)`` as built by ``_kernel_table``.  Returns
     each copy's first entry time into {0, 3} and into 0 (0 where not reached
     within ``step_cap`` steps), whether it reached 0, and the number of
-    lockstep transitions that left {0, 3} after entering it.
+    lockstep transitions of a running copy that left {0, 3} after entering
+    it.  A copy stops once it reaches 0, so moves after that are not
+    simulated.
 
-    A lockstep step is one index and one table lookup.  Since t1 <= t2, the
-    number of the thresholds t1[s] and t2[s] that u reaches is 0 (move to
-    0), 1 (move to 3) or 2 (move to out3[s]), and ``lut[3*s + that
-    number]`` is the next state: ``lut`` lists (0, 3, out3[s]) for each
-    state s in turn.
+    The lockstep keeps the running copies' indices in ascending order and
+    steps only them.  Block t is drawn as raw Philox words up to the last
+    running index; ``Generator.random`` would turn word w into the uniform
+    u = (w >> 11) * 2**-53, and u >= t exactly when (w >> 11) >= ceil(t *
+    2**53), so the step compares the words with those integer thresholds.
+    A step is then one index and one table lookup: since t1 <= t2, the
+    number of the thresholds of state s that u reaches is 0 (move to 0), 1
+    (move to 3) or 2 (move to out3[s]), and ``lut[3*s + that number]`` is
+    the next state: ``lut`` lists (0, 3, out3[s]) for each state s in turn.
     """
     t1, t2, out3 = table
+    k1, k2 = (np.ceil(t * 2.0**53).astype(np.uint64) for t in (t1, t2))
     lut = np.stack((np.zeros(4, np.intp), np.full(4, 3, np.intp), out3), axis=1).ravel()
-    state = np.full(num_samples, _SPLIT_10, dtype=np.intp)
     varsigma = np.zeros(num_samples, dtype=np.int64)
     tau = np.zeros(num_samples, dtype=np.int64)
+    running = np.arange(num_samples)
+    state = np.full(num_samples, _SPLIT_10, dtype=np.intp)
     met = np.zeros(num_samples, dtype=bool)
-    done = np.zeros(num_samples, dtype=bool)
     violations = 0
 
+    block_words = _block_words(seed, purpose)
     horizon = min(step_cap, LOCKSTEP_HORIZON)
     t = 0
-    while t < horizon and not done.all():
+    while t < horizon and running.size:
         t += 1
-        u = _stream(seed, purpose, t).random(num_samples)
-        state = lut[3 * state + (u >= t1[state]) + (u >= t2[state])]
+        words = block_words(t, int(running[-1]) + 1).take(running) >> 11
+        state = lut.take(3 * state + (words >= k1.take(state)) + (words >= k2.take(state)))
         on_diag = (state == 0) | (state == 3)
         violations += int(np.count_nonzero(met & ~on_diag))
-        newly_met = on_diag & ~met
-        varsigma[newly_met] = t
+        varsigma[running.take(np.flatnonzero(on_diag & ~met))] = t
         met |= on_diag
-        newly_zero = (state == 0) & ~done
-        tau[newly_zero] = t
-        done |= newly_zero
+        tau[running.take(np.flatnonzero(state == 0))] = t
+        # a copy that reached 0 is done; the others keep running
+        keep = np.flatnonzero(state)
+        running, state, met = running.take(keep), state.take(keep), met.take(keep)
 
-    for i in np.flatnonzero(~done):
-        rng = _tail_stream(seed, purpose, int(i))
-        s = int(state[i])
+    for i, s, has_met in zip(running.tolist(), state.tolist(), met.tolist()):
+        rng = _tail_stream(seed, purpose, i)
         step = t
         while step < step_cap:
             step += 1
             u = float(rng.random())
             s = 0 if u < t1[s] else (3 if u < t2[s] else int(out3[s]))
-            if s in (0, 3) and not met[i]:
-                met[i] = True
+            if s in (0, 3) and not has_met:
+                has_met = True
                 varsigma[i] = step
             if s == 0:
                 tau[i] = step
-                done[i] = True
                 break
 
-    return varsigma, tau, done, violations
+    return varsigma, tau, tau > 0, violations
 
 
 def sample_meeting_times(

@@ -18,7 +18,7 @@ negative binomial).  Residuals are checked, not trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .core import (
     moments_from_pmf,
     tv_distance,
 )
-from .fit import binomial_pmf, fit_negative_binomial, nb_pmf, poisson_pmf
+from .fit import NbFit, _reference, binomial_pmf, fit_negative_binomial, nb_pmf, poisson_pmf
 
 __all__ = [
     "NbSteinSetup",
@@ -82,11 +82,19 @@ class NbSteinSetup:
     def from_chain(cls, params: ChainParams, n: int) -> "NbSteinSetup":
         """Setup for the moment-matched fit of the n-step sum."""
         fit = fit_negative_binomial(params, n)
-        return cls.poisson(fit.lam) if fit.poisson_limit else cls.from_rq(fit.r, fit.q)
+        return _nb_setup(fit, _reference(fit))
 
     @property
     def mean(self) -> float:
         return self.a / (1.0 - self.b)
+
+
+def _nb_setup(fit: NbFit, target: Pmf) -> NbSteinSetup:
+    """The setup of a negative binomial (or Poisson) fit whose reference law
+    ``target`` is already tabulated."""
+    if fit.poisson_limit:
+        return NbSteinSetup(a=fit.lam, b=0.0, target=target)
+    return NbSteinSetup(a=fit.r * (1.0 - fit.q), b=1.0 - fit.q, target=target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +111,36 @@ class SteinSolution:
 
 
 def _normalize_subset(subset: Iterable[int], upper: int) -> np.ndarray:
-    members = np.unique(np.asarray(list(subset), dtype=np.int64))
+    # an integer ndarray needs no round trip through a list
+    values = subset if isinstance(subset, np.ndarray) and subset.dtype.kind == "i" else list(subset)
+    members = np.unique(np.asarray(values, dtype=np.int64))
     if members.size and (members[0] < 0 or members[-1] > upper):
         raise ValueError(f"subset must lie within 0..{upper}")
     return members
+
+
+def _subset_columns(
+    subsets: Sequence[Iterable[int]], upper: int, pi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The subsets as columns: ``ind[j, c]`` is 1_{A_c}(j) for j = 0..upper
+    and ``p_set[c]`` is P(A_c), the mass ``pi`` puts on A_c (summed as one
+    subset alone would sum it).  Each subset is normalised once."""
+    members = [_normalize_subset(subset, upper) for subset in subsets]
+    ind = np.zeros((upper + 1, len(members)), dtype=bool)
+    for column, points in enumerate(members):
+        ind[points, column] = True
+    p_set = np.array([pi[points[: np.searchsorted(points, pi.size)]].sum() for points in members])
+    return ind, p_set
+
+
+def _solutions(g: np.ndarray, residual: np.ndarray, delta: np.ndarray) -> list[SteinSolution]:
+    """One solution per column of ``g``, with the column's equation defects
+    ``residual`` and differences ``delta``."""
+    residual_sup, delta_sup = np.abs(residual).max(axis=0), np.abs(delta).max(axis=0)
+    return [
+        SteinSolution(g=g[:, column], residual_sup=float(r), delta_sup=float(d))
+        for column, (r, d) in enumerate(zip(residual_sup, delta_sup))
+    ]
 
 
 def solve_nb_stein(setup: NbSteinSetup, subset: Iterable[int]) -> SteinSolution:
@@ -114,21 +148,24 @@ def solve_nb_stein(setup: NbSteinSetup, subset: Iterable[int]) -> SteinSolution:
 
     ``subset`` must lie within the truncated support {0..N}.  The returned g
     has entries 0..N+1; the residual is the largest equation defect over
-    j = 0..N.
+    j = 0..N.  This is the one-subset case of ``_solve_nb``.
     """
+    return _solve_nb(setup, [subset])[0]
+
+
+def _solve_nb(setup: NbSteinSetup, subsets: Sequence[Iterable[int]]) -> list[SteinSolution]:
+    """``solve_nb_stein`` for many subsets at once: the recurrences run over
+    a (j, subset) array, each entry by the operations a lone subset's would
+    take, so every solution is the one its subset gives alone."""
     a, b = setup.a, setup.b
     pi = setup.target.mass
     top = pi.size - 1
     if top < 1:
         raise ValueError("target must be tabulated past 0 to solve the equation")
-    members = _normalize_subset(subset, top)
+    ind, p_set = _subset_columns(subsets, top, pi)
+    f = ind - p_set
 
-    f = np.zeros(top + 1)
-    f[members] = 1.0
-    p_set = float(pi[members].sum())
-    f -= p_set
-
-    g = np.zeros(top + 2)
+    g = np.zeros((top + 2, p_set.size))
     seam = min(max(int(setup.mean), 1), top)
     for j in range(seam):
         g[j + 1] = (j * g[j] + f[j]) / (a + b * j)
@@ -141,14 +178,9 @@ def solve_nb_stein(setup: NbSteinSetup, subset: Iterable[int]) -> SteinSolution:
     for j in range(top, seam, -1):
         g[j] = ((a + b * j) * g[j + 1] - f[j]) / j
 
-    j = np.arange(top + 1, dtype=float)
+    j = np.arange(top + 1, dtype=float)[:, None]
     residual = (a + b * j) * g[1:] - j * g[:-1] - f
-    delta_prime = np.diff(g[1:])
-    return SteinSolution(
-        g=g,
-        residual_sup=float(np.abs(residual).max()),
-        delta_sup=float(np.abs(delta_prime).max()),
-    )
+    return _solutions(g, residual, np.diff(g[1:], axis=0))
 
 
 @dataclass(frozen=True)
@@ -180,24 +212,24 @@ def solve_binomial_stein(m: int, theta: float, subset: Iterable[int]) -> SteinSo
     -(1 + theta*1_{m in A} - theta*P(A)) / (m*theta*(1-theta)), which turns
     the equation into an inequality.  The solution is tabulated up to
     m + _BINOMIAL_EXTEND (64) for the checks; ``subset`` may contain points
-    up to there, but only its intersection with 0..m carries mass.
+    up to there, but only its intersection with 0..m carries mass.  This is
+    the one-subset case of ``_solve_binomial``.
     """
-    return _solve_binomial(m, theta, binomial_pmf(m, theta).mass, subset)
+    ind, p_set = _subset_columns([subset], m + _BINOMIAL_EXTEND, binomial_pmf(m, theta).mass)
+    return _solutions(*_solve_binomial(m, theta, ind, p_set))[0]
 
 
-def _solve_binomial(m: int, theta: float, pi: np.ndarray, subset: Iterable[int]) -> SteinSolution:
-    """``solve_binomial_stein`` with the target mass ``pi`` of Bi(m, theta)
-    already tabulated, so that many subsets share one tabulation."""
+def _solve_binomial(
+    m: int, theta: float, ind: np.ndarray, p_set: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``solve_binomial_stein`` for the subsets of ``_subset_columns`` over
+    0..m + _BINOMIAL_EXTEND: the solutions as the columns of g, with their
+    equation defects on 0..m-1 and their differences.  Each entry takes the
+    operations a lone subset's would."""
     top = m + _BINOMIAL_EXTEND
-    members = _normalize_subset(subset, top)
+    f = ind - p_set
 
-    on_support = members[members <= m]
-    p_set = float(pi[on_support].sum())
-    f = np.zeros(top + 1)
-    f[members] = 1.0
-    f -= p_set
-
-    g = np.zeros(top + 1)
+    g = np.zeros((top + 1, p_set.size))
     seam = min(max(int(theta * m), 0), m - 1)
     for j in range(seam):
         g[j + 1] = ((1.0 - theta) * j * g[j] + f[j]) / (theta * (m - j))
@@ -208,17 +240,11 @@ def _solve_binomial(m: int, theta: float, pi: np.ndarray, subset: Iterable[int])
     for j in range(m - 1, seam, -1):
         g[j] = (theta * (m - j) * g[j + 1] - f[j]) / ((1.0 - theta) * j)
 
-    m_in_set = bool(np.any(members == m))
-    constant = -(1.0 + theta * m_in_set - theta * p_set) / (m * theta * (1.0 - theta))
-    g[m + 1 :] = constant
+    g[m + 1 :] = -(1.0 + theta * ind[m] - theta * p_set) / (m * theta * (1.0 - theta))
 
-    j = np.arange(m, dtype=float)
+    j = np.arange(m, dtype=float)[:, None]
     residual = theta * (m - j) * g[1 : m + 1] - (1.0 - theta) * j * g[:m] - f[:m]
-    return SteinSolution(
-        g=g,
-        residual_sup=float(np.abs(residual).max()),
-        delta_sup=float(np.abs(np.diff(g)).max()),
-    )
+    return g, residual, np.diff(g, axis=0)
 
 
 @dataclass(frozen=True)
@@ -249,49 +275,75 @@ def check_binomial_lemma31(
 ) -> BinomialSteinReport:
     """Check the one-sided equation, the difference norm bound
     1/(m*theta*(1-theta)), the exact boundary difference at j = m and the
-    vanishing differences past m."""
-    return _check_lemma31(solution, m, theta, binomial_pmf(m, theta).mass, subset)
+    vanishing differences past m.  This is the one-subset case of
+    ``_check_lemma31``."""
+    g = solution.g[:, None]
+    ind, p_set = _subset_columns([subset], g.shape[0] - 1, binomial_pmf(m, theta).mass)
+    return _check_lemma31(g, [solution.delta_sup], m, theta, ind, p_set)[0]
+
+
+def _binomial_stein(
+    m: int, theta: float, pi: np.ndarray, subsets: Sequence[Iterable[int]]
+) -> list[tuple[SteinSolution, BinomialSteinReport]]:
+    """``solve_binomial_stein`` and ``check_binomial_lemma31`` for many
+    subsets of one target, whose mass ``pi`` of Bi(m, theta) is already
+    tabulated; the subsets are normalised once for both."""
+    ind, p_set = _subset_columns(subsets, m + _BINOMIAL_EXTEND, pi)
+    g, residual, delta = _solve_binomial(m, theta, ind, p_set)
+    solutions = _solutions(g, residual, delta)
+    reports = _check_lemma31(g, [s.delta_sup for s in solutions], m, theta, ind, p_set)
+    return list(zip(solutions, reports))
 
 
 def _check_lemma31(
-    solution: SteinSolution, m: int, theta: float, pi: np.ndarray, subset: Iterable[int]
-) -> BinomialSteinReport:
-    """``check_binomial_lemma31`` with the target mass ``pi`` of Bi(m, theta)
-    already tabulated."""
-    g = solution.g
-    top = g.size - 1
-    members = _normalize_subset(subset, top)
-    p_set = float(pi[members[members <= m]].sum())
-    f = np.zeros(top)
-    f[members[members < top]] = 1.0
-    f -= p_set
+    g: np.ndarray,
+    delta_sup: Sequence[float],
+    m: int,
+    theta: float,
+    ind: np.ndarray,
+    p_set: np.ndarray,
+) -> list[BinomialSteinReport]:
+    """``check_binomial_lemma31`` for the solutions in the columns of ``g``,
+    with their difference norms ``delta_sup``, and the subsets of
+    ``_subset_columns`` over the rows of g."""
+    top = g.shape[0] - 1
+    f = ind[:top] - p_set
 
-    j = np.arange(top, dtype=float)
+    j = np.arange(top, dtype=float)[:, None]
     action = theta * (m - j) * g[1:] - (1.0 - theta) * j * g[:top]
-    slack = float((action - f).min())
+    slack = (action - f).min(axis=0)
 
     bound = 1.0 / (m * theta * (1.0 - theta))
-    delta = np.diff(g)
-    delta_at_m_error = abs(abs(float(delta[m])) - bound)
-    tail_delta_max = float(np.abs(delta[m + 1 :]).max()) if top > m + 1 else 0.0
-    tail_slope = -float(g[-1])  # Bg grows by (j+1) - j times this past m
+    delta = np.diff(g, axis=0)
+    delta_at_m_error = np.abs(np.abs(delta[m]) - bound)
+    tail_delta_max = np.abs(delta[m + 1 :]).max(axis=0) if top > m + 1 else np.zeros(p_set.size)
+    tail_slope = -g[-1]  # Bg grows by (j+1) - j times this past m
 
-    ok = (
-        slack >= -_STEIN_TOL
-        and solution.delta_sup <= bound + _STEIN_TOL
-        and delta_at_m_error <= _STEIN_TOL
-        and tail_delta_max == 0.0
-        and tail_slope >= 0.0
+    columns = zip(
+        delta_sup,
+        slack.tolist(),
+        delta_at_m_error.tolist(),
+        tail_delta_max.tolist(),
+        tail_slope.tolist(),
     )
-    return BinomialSteinReport(
-        ok=ok,
-        inequality_min_slack=slack,
-        delta_sup=solution.delta_sup,
-        delta_bound=bound,
-        delta_at_m_error=delta_at_m_error,
-        tail_delta_max=tail_delta_max,
-        tail_slope=tail_slope,
-    )
+    return [
+        BinomialSteinReport(
+            ok=(
+                min_slack >= -_STEIN_TOL
+                and sup <= bound + _STEIN_TOL
+                and at_m_error <= _STEIN_TOL
+                and tail_max == 0.0
+                and slope >= 0.0
+            ),
+            inequality_min_slack=min_slack,
+            delta_sup=sup,
+            delta_bound=bound,
+            delta_at_m_error=at_m_error,
+            tail_delta_max=tail_max,
+            tail_slope=slope,
+        )
+        for sup, min_slack, at_m_error, tail_max, slope in columns
+    ]
 
 
 @dataclass(frozen=True)

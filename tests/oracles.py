@@ -109,3 +109,72 @@ def poisson_pmf_reference(k: np.ndarray, lam: float) -> np.ndarray:
     """Direct log-gamma evaluation of the Poisson mass."""
     k = np.asarray(k, dtype=float)
     return np.exp(k * np.log(lam) - lam - gammaln(k + 1.0))
+
+
+def scalar_nb_stein(
+    a: float, b: float, pi: np.ndarray, tail: float, mean: float, members: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    """One negative binomial Stein solve by the scalar recurrences, step by
+    step: forward from g(1) below the mean, backward from the closed tail
+    value above it.  Returns g, the sup residual and sup |g(j+2) - g(j+1)|."""
+    top = pi.size - 1
+    f = np.zeros(top + 1)
+    f[members] = 1.0
+    p_set = float(pi[members].sum())
+    f -= p_set
+    g = np.zeros(top + 2)
+    seam = min(max(int(mean), 1), top)
+    for j in range(seam):
+        g[j + 1] = (j * g[j] + f[j]) / (a + b * j)
+    pi_next = pi[top] * (a + b * top) / (top + 1)
+    g[top + 1] = p_set * tail / ((top + 1) * pi_next) if pi_next > 0.0 else 0.0
+    for j in range(top, seam, -1):
+        g[j] = ((a + b * j) * g[j + 1] - f[j]) / j
+    j = np.arange(top + 1, dtype=float)
+    residual = (a + b * j) * g[1:] - j * g[:-1] - f
+    return g, float(np.abs(residual).max()), float(np.abs(np.diff(g[1:])).max())
+
+
+def scalar_binomial_stein(
+    m: int, theta: float, pi: np.ndarray, members: np.ndarray, extend: int
+) -> tuple[np.ndarray, float, float]:
+    """One binomial Stein solve by the scalar recurrences on 0..m, extended
+    by its constant up to m + extend.  Returns g, the sup residual on 0..m-1
+    and sup |g(j+1) - g(j)|."""
+    top = m + extend
+    p_set = float(pi[members[members <= m]].sum())
+    f = np.zeros(top + 1)
+    f[members] = 1.0
+    f -= p_set
+    g = np.zeros(top + 1)
+    seam = min(max(int(theta * m), 0), m - 1)
+    for j in range(seam):
+        g[j + 1] = ((1.0 - theta) * j * g[j] + f[j]) / (theta * (m - j))
+    g[m] = -f[m] / ((1.0 - theta) * m)
+    for j in range(m - 1, seam, -1):
+        g[j] = (theta * (m - j) * g[j + 1] - f[j]) / ((1.0 - theta) * j)
+    m_in_set = bool(np.any(members == m))
+    g[m + 1 :] = -(1.0 + theta * m_in_set - theta * p_set) / (m * theta * (1.0 - theta))
+    j = np.arange(m, dtype=float)
+    residual = theta * (m - j) * g[1 : m + 1] - (1.0 - theta) * j * g[:m] - f[:m]
+    return g, float(np.abs(residual).max()), float(np.abs(np.diff(g)).max())
+
+
+def scalar_lemma31(
+    g: np.ndarray, m: int, theta: float, pi: np.ndarray, members: np.ndarray
+) -> tuple[float, float, float, float]:
+    """The Lemma 3.1 quantities of one binomial solution g: the least slack
+    of Bg >= 1_A - P(A), the error of |g(m+1) - g(m)| against
+    1/(m theta (1-theta)), the largest difference past m and -g(last)."""
+    top = g.size - 1
+    p_set = float(pi[members[members <= m]].sum())
+    f = np.zeros(top)
+    f[members[members < top]] = 1.0
+    f -= p_set
+    j = np.arange(top, dtype=float)
+    action = theta * (m - j) * g[1:] - (1.0 - theta) * j * g[:top]
+    bound = 1.0 / (m * theta * (1.0 - theta))
+    delta = np.diff(g)
+    tail_delta_max = float(np.abs(delta[m + 1 :]).max()) if top > m + 1 else 0.0
+    delta_at_m_error = abs(abs(float(delta[m])) - bound)
+    return float((action - f).min()), delta_at_m_error, tail_delta_max, -float(g[-1])

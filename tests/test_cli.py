@@ -401,12 +401,20 @@ def _unshared_row(params, n, seed, checks):
         _SWEEP_COUPLING, _check_bounds, _coupling, _lemma21, _lemma24, _sweep_indices,
         _sweep_stein, _verdict,
     )
+    from markovbin.fit import _reference
 
     row = evaluate_point(params, n)
     if "bounds" in checks:
         row["check_bounds"] = _verdict(_check_bounds(row))
     if "stein" in checks:
-        row["check_stein"] = _verdict(_sweep_stein(row, params, n, seed))
+        # the fit and its reference law derived afresh from the point
+        fit_for = fit_binomial if row["regime"] == "underdispersed" else fit_negative_binomial
+        try:
+            fit = fit_for(params, n)
+        except DegenerateFitError:
+            fit = None
+        reference = None if fit is None else _reference(fit)
+        row["check_stein"] = _verdict(_sweep_stein(fit, reference, seed))
     if "coupling" in checks:
         row["check_coupling"] = _verdict(_coupling(params, seed, *_SWEEP_COUPLING))
     if "lemma21" in checks:
@@ -450,6 +458,32 @@ class TestSweepEngine:
         assert {row["regime"] for row in rows} == {"overdispersed", "underdispersed"}
         assert {row["status"] for row in rows} == {"ok", "degenerate_fit"}
         assert {row["check_stein"] for row in rows} == {"pass", "skipped"}
+
+    def test_reference_tabulated_once_per_row(self, tmp_path, monkeypatch):
+        # the benchmark's sweep-grid shape: the Stein check solves against
+        # the row's own reference law instead of tabulating it again
+        from markovbin import fit as fit_mod
+        from markovbin import stein as stein_mod
+
+        calls = []
+
+        def counting(name, tabulate):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return tabulate(*args, **kwargs)
+
+            return counted
+
+        for module in (fit_mod, stein_mod):
+            for name in ("nb_pmf", "binomial_pmf", "poisson_pmf"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        config = SweepConfig(
+            alpha_grid=(0.1, 0.8), beta_grid=(0.35, 0.45, 0.55), n_list=(12, 25, 50, 100, 175, 250),
+            checks=self.ALL, seed=3, output_path=str(tmp_path / "sweep.csv"),
+        )
+        rows = run_sweep(config)
+        assert len(rows) == 36 and {row["status"] for row in rows} == {"ok"}
+        assert sorted(calls) == ["binomial_pmf"] * 18 + ["nb_pmf"] * 18
 
     @pytest.mark.parametrize(
         "checks",

@@ -15,7 +15,16 @@ from markovbin import (
     sample_sums,
     tv_distance,
 )
-from markovbin.coupling import DEFAULT_STEP_CAP, LOCKSTEP_HORIZON
+from markovbin import coupling
+from markovbin.coupling import (
+    _PURPOSE_BLOCKS,
+    _PURPOSE_MEETING,
+    DEFAULT_STEP_CAP,
+    LOCKSTEP_HORIZON,
+    _block_words,
+    _kernel_table,
+    _stream,
+)
 
 
 class TestSampleSums:
@@ -192,3 +201,95 @@ class TestPinnedStreams:
         assert _digest(blocks.xi_odd, blocks.xi_even) == self.BLOCKS[alpha, beta]
         if alpha == 0.005:
             assert np.any(blocks.xi_odd >= LOCKSTEP_HORIZON)
+
+    # (meeting, blocks) digests at seed 17 for the sweep check's two regimes
+    # and sample counts from one sample to its 20 000, pinned from the
+    # sampler that stepped every sample until the slowest was done
+    HOT = {
+        (0.1, 0.45, 1): (
+            "2dab308cb068a699e95029eb3f3893fa28b026a46950d57233712057fcd8bf99",
+            "9b768a7138e147b4158a6b26c2e04ee536af084a18f7b751a9439af1a7cc0765",
+        ),
+        (0.1, 0.45, 7): (
+            "fa59317d41df1e45bb4aa6a03438cb046356b0ee3c2634f1e73cb42efe40276b",
+            "1f0a34faae01ee17af2c4715dc854f7a629ac2df28665c62328584b25d84f2c9",
+        ),
+        (0.1, 0.45, 4097): (
+            "a39bc81b46d435876f12fa4a488a9689ab03b903d88dbf44ed0420fca4c07e46",
+            "12edc6f583aefc998d2f9d654aebbd7175f121e1276f2f47cf0d74b3f017d86d",
+        ),
+        (0.1, 0.45, 20_000): (
+            "2c1f78c6702bed454fba1f2558cd30f3f7c2a04e7e5f3b458a81871814a9ca59",
+            "c0b955760e733acef850e9458cd95eaca74c5276926e391c7cbb5e09d33c1178",
+        ),
+        (0.8, 0.35, 1): (
+            "2dab308cb068a699e95029eb3f3893fa28b026a46950d57233712057fcd8bf99",
+            "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+        ),
+        (0.8, 0.35, 7): (
+            "dd0f189418c05e5f7cf6da9befe540615d8718b6093e7e6ebac33f5374782d68",
+            "5f166c4135a9da604f2f2abdb49be661b25ae27b021e2f1df7bb7419f81e3f83",
+        ),
+        (0.8, 0.35, 4097): (
+            "78899ee97a087f7f24b73f951755a96432f4d1d9c7bd742622357706d7a6aec5",
+            "3d7cf4ef26875c9603a11d5a7b37b9bd9ab7b214cf7c20507ba2b1ffd06d91a5",
+        ),
+        (0.8, 0.35, 20_000): (
+            "b40cee8a8fa8d5b5cc07c421c8f64f71cd53cbe7345957b0752c0218bcf70f12",
+            "687885bfd0bf77b6383425206ddf1930ed48181239fa1243a5d7f5d7857724b6",
+        ),
+    }
+    # sha256 of the 4097 uniforms of block 3 of the meeting and block streams
+    # at seed 17
+    UNIFORMS = {
+        _PURPOSE_MEETING: "245c97f9a09e0c079f301a4cf959166a2b2a0c0f42fb996911713d7aca5b8100",
+        _PURPOSE_BLOCKS: "71692f5f5ff5a46d9cf0957eb739a766ed3f61ee9d458f0d96cb1e2cc87b4d41",
+    }
+
+    @pytest.mark.parametrize("alpha,beta,size", list(HOT))
+    def test_hot_shape(self, alpha, beta, size):
+        params = ChainParams(alpha, beta)
+        runs = sample_meeting_times(params, size, seed=17)
+        blocks = sample_blocks(params, size, seed=17)
+        assert runs.absorption_violations == 0
+        meeting = _digest(runs.varsigma, runs.tau, runs.censored)
+        assert (meeting, _digest(blocks.xi_odd, blocks.xi_even)) == self.HOT[alpha, beta, size]
+
+    @pytest.mark.parametrize("purpose", list(UNIFORMS))
+    def test_raw_word_prefixes(self, purpose):
+        # any prefix of a block's raw words gives, as Generator.random maps
+        # them, the uniforms the block's stream draws
+        words = _block_words(17, purpose)
+        full = _stream(17, purpose, 3).random(4097)
+        assert hashlib.sha256(full.tobytes()).hexdigest() == self.UNIFORMS[purpose]
+        for size in (1, 7, 4097):
+            uniforms = (words(3, size) >> 11) * 2.0**-53
+            assert np.array_equal(uniforms, full[:size])
+        # re-seating the generator on a block does not depend on the blocks before
+        assert np.array_equal(words(1, 9), _block_words(17, purpose)(1, 9))
+
+
+class TestAbsorptionGuard:
+    """The lockstep no longer moves a sample after it reaches 0, so the
+    diagonal's absorption is checked on the kernel table itself, and the
+    violation count on a table that breaks it."""
+
+    def test_diagonal_rows_stay_on_diagonal(self):
+        rates = [1e-9, 0.005, 0.1, 0.3, 0.35, 0.5, 0.8, 0.995, 1 - 1e-9]
+        for alpha in rates:
+            for beta in rates:
+                t1, t2, out3 = _kernel_table(ChainParams(alpha, beta))
+                assert np.all(t1 <= t2), (alpha, beta)
+                # row s moves to 0, to 3 or to out3[s]: from 0 and 3 all
+                # three are diagonal
+                assert out3[0] in (0, 3) and out3[3] in (0, 3), (alpha, beta)
+
+    def test_leaking_table_counts_violations(self, monkeypatch):
+        # row 3 sends a third of its mass to the split state 2
+        t1, t2, out3 = _kernel_table(ChainParams(0.3, 0.6))
+        broken = (t1, t2.copy(), out3.copy())
+        broken[1][3] = t1[3] + (1.0 - t1[3]) * 2.0 / 3.0
+        broken[2][3] = 2
+        monkeypatch.setattr(coupling, "_kernel_table", lambda params: broken)
+        runs = sample_meeting_times(ChainParams(0.3, 0.6), 2000, seed=17)
+        assert runs.absorption_violations > 0

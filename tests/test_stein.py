@@ -15,7 +15,9 @@ from markovbin import (
     stationary_law,
     verify_lemma24,
 )
-from markovbin.stein import _lemma24_reports
+from markovbin.fit import binomial_pmf
+from markovbin.stein import _binomial_stein, _lemma24_reports, _solve_nb
+from oracles import scalar_binomial_stein, scalar_lemma31, scalar_nb_stein
 
 
 def random_subset(rng, upper):
@@ -188,6 +190,75 @@ class TestCheckBinomialLemma31:
             report = check_binomial_lemma31(solution, fit.m, fit.theta, subset)
             assert report.ok
             assert report.tail_delta_max == 0.0
+
+
+class TestBatchedSolves:
+    """A row's subsets are solved together in one (j, subset) array; every
+    column must be bit for bit the scalar recurrences' solution, and the
+    public one-subset functions the same as a column of a batch."""
+
+    @staticmethod
+    def _subsets(seed, upper, count=8):
+        rng = np.random.default_rng(seed)
+        subsets = [random_subset(rng, upper) for _ in range(count)]
+        return subsets + [np.array([], dtype=np.int64), np.arange(upper + 1)]
+
+    NB_SETUPS = {
+        "nb-0.1-0.45-100": lambda: NbSteinSetup.from_chain(ChainParams(0.1, 0.45), 100),
+        "nb-0.1-0.35-12": lambda: NbSteinSetup.from_chain(ChainParams(0.1, 0.35), 12),
+        "nb-0.3-0.6-250": lambda: NbSteinSetup.from_chain(ChainParams(0.3, 0.6), 250),
+        "poisson-3.7": lambda: NbSteinSetup.poisson(3.7),
+    }
+
+    @pytest.mark.parametrize("name", list(NB_SETUPS))
+    def test_nb_columns_equal_scalar_solves(self, name):
+        setup = self.NB_SETUPS[name]()
+        pi = setup.target.mass
+        subsets = self._subsets(len(name), pi.size - 1)
+        for subset, solution in zip(subsets, _solve_nb(setup, subsets)):
+            g, residual_sup, delta_sup = scalar_nb_stein(
+                setup.a, setup.b, pi, setup.target.tail, setup.mean, subset
+            )
+            assert np.array_equal(solution.g, g)
+            assert (solution.residual_sup, solution.delta_sup) == (residual_sup, delta_sup)
+            single = solve_nb_stein(setup, subset)
+            assert np.array_equal(single.g, g)
+            assert (single.residual_sup, single.delta_sup) == (residual_sup, delta_sup)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,n", [(0.8, 0.35, 100), (0.8, 0.55, 12), (0.3, 0.6, 2), (0.2, 0.1, 500)]
+    )
+    def test_binomial_columns_equal_scalar_solves(self, alpha, beta, n):
+        fit = fit_binomial(ChainParams(alpha, beta), n)
+        m, theta = fit.m, fit.theta
+        pi = binomial_pmf(m, theta).mass
+        subsets = self._subsets(n, m + 16)
+        for subset, (solution, report) in zip(subsets, _binomial_stein(m, theta, pi, subsets)):
+            g, residual_sup, delta_sup = scalar_binomial_stein(m, theta, pi, subset, 64)
+            assert np.array_equal(solution.g, g)
+            assert (solution.residual_sup, solution.delta_sup) == (residual_sup, delta_sup)
+            assert (
+                report.inequality_min_slack, report.delta_at_m_error,
+                report.tail_delta_max, report.tail_slope,
+            ) == scalar_lemma31(g, m, theta, pi, subset)
+            assert report.delta_sup == delta_sup
+            single = solve_binomial_stein(m, theta, subset)
+            assert np.array_equal(single.g, g)
+            assert (single.residual_sup, single.delta_sup) == (residual_sup, delta_sup)
+            assert check_binomial_lemma31(single, m, theta, subset) == report
+
+    def test_subset_forms_normalize_alike(self):
+        setup = NbSteinSetup.from_rq(3.0, 0.4)
+        top = setup.target.mass.size - 1
+        wanted = solve_nb_stein(setup, [5, 1, 3])
+        for subset in (np.array([3, 1, 5, 1]), np.array([5, 3, 1], dtype=np.int8), (1, 3, 5),
+                       {1, 3, 5}, (k for k in (3, 5, 1)), np.array([1, 3, 5], dtype=np.uint16)):
+            assert np.array_equal(solve_nb_stein(setup, subset).g, wanted.g)
+        for subset in (np.array([top + 1]), np.array([-1, 2]), [top + 1], [-1]):
+            with pytest.raises(ValueError, match=rf"^subset must lie within 0\.\.{top}$"):
+                solve_nb_stein(setup, subset)
+        with pytest.raises(ValueError, match=r"^subset must lie within 0\.\.66$"):
+            solve_binomial_stein(2, 0.5, np.array([67]))
 
 
 class TestVerifyLemma24:
