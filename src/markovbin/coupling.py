@@ -237,7 +237,7 @@ def _first_passages(
     the next state: ``lut`` lists (0, 3, out3[s]) for each state s in turn.
     """
     t1, t2, out3 = table
-    k1, k2 = (np.ceil(t * 2.0**53).astype(np.uint64) for t in (t1, t2))
+    k1, k2 = (np.ceil(cut * 2.0**53).astype(np.uint64) for cut in (t1, t2))
     lut = np.stack((np.zeros(4, np.intp), np.full(4, 3, np.intp), out3), axis=1).ravel()
     varsigma = np.zeros(num_samples, dtype=np.int64)
     tau = np.zeros(num_samples, dtype=np.int64)

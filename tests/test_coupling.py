@@ -268,6 +268,16 @@ class TestPinnedStreams:
         # re-seating the generator on a block does not depend on the blocks before
         assert np.array_equal(words(1, 9), _block_words(17, purpose)(1, 9))
 
+    def test_threshold_ties_match_generator_random(self):
+        # a threshold equal to a sample's uniform u is reached (u >= t1) and
+        # one ulp above it is not, as with the uniforms Generator.random draws
+        u = _stream(17, _PURPOSE_MEETING, 1).random(1)[0]
+        for cut, tau_wanted in ((u, 2), (np.nextafter(u, 1.0), 1)):
+            # state 2 moves to 0 below cut and to 3 above it; 3 moves to 0
+            table = (np.array([1.0, 0.0, cut, 1.0]), np.ones(4), np.full(4, 3, dtype=np.int8))
+            _, tau, _, _ = coupling._first_passages(table, 1, 17, _PURPOSE_MEETING, 5)
+            assert tau[0] == tau_wanted
+
 
 class TestAbsorptionGuard:
     """The lockstep no longer moves a sample after it reaches 0, so the
