@@ -145,16 +145,13 @@ def _bound(params: ChainParams, n: int, regime: Regime, fit: NbFit | BinFit | No
     return BoundReport(regime, value, min(1.0, value), breakdown)
 
 
-def bound_nb(params: ChainParams, n: int, *, check_regime: bool = True) -> BoundReport:
+def bound_nb(params: ChainParams, n: int) -> BoundReport:
     """TV error bound for the matched negative binomial approximation.
 
-    Applies in the overdispersed/equidispersed regime; pass
-    ``check_regime=False`` to evaluate the expression regardless (useful on
-    the alpha == beta line, where the prefactor C0 vanishes and the bound
-    is 0).
+    Applies in the overdispersed/equidispersed regime only (RegimeError otherwise).
     """
     regime = classify_regime(params, n)
-    if check_regime and regime is Regime.UNDERDISPERSED:
+    if regime is Regime.UNDERDISPERSED:
         raise RegimeError("underdispersed inputs: use bound_binomial")
     return _bound(params, n, regime, None)
 

@@ -24,7 +24,7 @@ from . import bounds as bounds_mod
 from . import coupling as coupling_mod
 from . import stein as stein_mod
 from .core import (
-    ChainParams, Pmf, _conditional_law, _pass_snapshots, exact_pmf, moments_closed_form, shift_tv,
+    MAX_EXACT_N, ChainParams, Pmf, _pass_snapshots, exact_pmf, moments_closed_form, shift_tv,
     tv_distance,
 )
 from .fit import (
@@ -279,19 +279,6 @@ def _sweep_laws(params: ChainParams, config: SweepConfig) -> dict[str, dict[int,
     return {start: _pass_snapshots(params, start, ks) for start, ks in steps.items() if ks}
 
 
-def _sweep_lemma24(
-    params: ChainParams, n: int, laws: dict[str, dict[int, Pmf]]
-) -> dict[int, stein_mod.Lemma24Report]:
-    """The Lemma 2.4 reports of a sweep row, from the shared laws of
-    ``_sweep_laws``."""
-
-    def given(start: str, i: int) -> Pmf:
-        return _conditional_law(laws[start][i - 1], laws[start][n - i], n)
-
-    conditionals = ((i, given("state1", i), given("state0", i)) for i in _sweep_indices(n))
-    return stein_mod._lemma24_compare(params, n, laws["stationary"][n], conditionals)
-
-
 def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
     """Evaluate the whole grid and write the report file.
 
@@ -317,7 +304,8 @@ def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
                 if "lemma21" in config.checks:
                     row["check_lemma21"] = _verdict(_lemma21(params, n, laws["state0"][n]))
                 if "lemma24" in config.checks:
-                    row["check_lemma24"] = _verdict(_lemma24(_sweep_lemma24(params, n, laws)))
+                    reports = stein_mod._lemma24_from_laws(params, n, laws, _sweep_indices(n))
+                    row["check_lemma24"] = _verdict(_lemma24(reports))
                 rows.append(row)
                 index += 1
     _write_report(config.output_path, _render(config, rows))
@@ -391,7 +379,7 @@ def _probability(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
+def _int_in(low: int, high: float = math.inf) -> Callable[[str], int]:
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -399,12 +387,14 @@ def _int_at_least(low: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {text}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1)
+_positive_int = _int_in(1)
 
 
 def _record_lines(record: dict[str, Any]) -> list[str]:
@@ -418,7 +408,9 @@ def _print_record(record: dict[str, Any], as_json: bool) -> None:
         print("\n".join(_record_lines(record)))
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.exact and args.n > MAX_EXACT_N:
+        parser.error(f"--exact needs --n at most {MAX_EXACT_N}, got {args.n}")
     params = ChainParams(args.alpha, args.beta)
     record = evaluate_point(params, args.n, exact=args.exact)
     if not args.exact:
@@ -464,6 +456,7 @@ def _stein_suite(fit_for: Callable, check: Callable) -> Callable:
 # the coupling test is 4 sigma on varsigma tails for m <= 6, tau tails m <= 8.
 _VERIFY_COUPLING = (4.0, 6, 8)  # sigmas, largest m of the varsigma and tau tails
 _POINT = ("alpha", "beta", "n")
+_EXACT_SUITES = ("bounds", "mc-exact", "lemma21", "lemma24")  # they need the exact law at --n
 # suite -> (options it requires, its check on the options and the chain they name)
 _SUITES = {
     "bounds": (_POINT, lambda a, p: _check_bounds(evaluate_point(p, a.n))),
@@ -487,6 +480,8 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     for name in required:
         if getattr(args, name) is None:
             parser.error(f"suite {args.suite!r} requires --{name}")
+    if args.suite in _EXACT_SUITES and args.n > MAX_EXACT_N:
+        parser.error(f"suite {args.suite!r} needs --n at most {MAX_EXACT_N}, got {args.n}")
     if args.suite == "lemma24" and args.index is not None and args.index > args.n:
         parser.error(f"--index {args.index} exceeds --n {args.n}")
     params = ChainParams(args.alpha, args.beta) if required else None
@@ -514,12 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--n", type=_positive_int, required=True)
     fit.add_argument("--exact", action="store_true", help="also compute the exact TV (O(n^2))")
     fit.add_argument("--json", action="store_true", help="emit JSON instead of key = value lines")
-    fit.set_defaults(run=cmd_fit)
+    fit.set_defaults(run=lambda args: cmd_fit(args, fit))
 
     sweep = sub.add_parser("sweep", help="evaluate a parameter grid into CSV/JSON")
     sweep.add_argument("--alphas", type=_probability, nargs="+", required=True)
     sweep.add_argument("--betas", type=_probability, nargs="+", required=True)
-    sweep.add_argument("--ns", type=_positive_int, nargs="+", required=True)
+    sweep.add_argument("--ns", type=_int_in(1, MAX_EXACT_N), nargs="+", required=True)
     sweep.add_argument("--checks", nargs="*", choices=_CHECK_NAMES, default=[])
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--output", required=True)
@@ -535,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--subsets", type=_positive_int, default=200)
     verify.add_argument("--samples", type=_positive_int, default=1_000_000)
     # the Stein suites seed numpy generators, which reject negative seeds
-    verify.add_argument("--seed", type=_int_at_least(0), default=0)
+    verify.add_argument("--seed", type=_int_in(0), default=0)
     verify.add_argument("--step", type=_probability, default=0.05, help="grid step for lemma22")
     verify.add_argument("--n-max", type=_positive_int, default=200, help="largest n for lemma22")
     verify.add_argument("--tol", type=float, default=0.005, help="TV tolerance for mc-exact")

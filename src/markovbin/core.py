@@ -50,11 +50,6 @@ _EPS = float(np.finfo(float).eps)
 # cancelling closed form before it switches to the covariance sum.
 _MOMENT_RTOL = 1e-12
 
-# Doubles of shorter-segment laws one DP pass of ``_conditional_laws`` keeps
-# (32 MB).  Every index at sum length n keeps about n^2/8 of them, which is
-# 20 GB per start state at MAX_EXACT_N, so larger index sets take more passes.
-_KEPT_DOUBLES = 1 << 22
-
 Start = Union[str, Sequence[float]]
 # State of the exact DP after a step: f0, f1, lo, hi, tail (see ``_dp_pass``).
 _DpState = tuple[np.ndarray, np.ndarray, int, int, float]
@@ -247,26 +242,21 @@ def _dp_pass(params: ChainParams, n: int, start: Start) -> Iterator[_DpState]:
         yield f0, f1, lo, hi, tail
 
 
-def _snapshot(state: _DpState, k: int) -> Pmf:
-    """The exact law of the k-step sum held by a DP state after k steps."""
-    f0, f1, lo, hi, tail = state
-    mass = np.zeros(k + 1)
-    np.add(f0[lo:hi], f1[lo:hi], out=mass[lo:hi])
-    return Pmf(mass, tail=float(tail), tol=_exact_tol(k))
-
-
 def _pass_snapshots(params: ChainParams, start: Start, steps: Iterable[int]) -> dict[int, Pmf]:
-    """``exact_pmf(params, k, start)`` for every k in ``steps``, bit for bit and
-    tail included, from one DP pass to the largest k; k = 0 gives the law
-    of the empty sum."""
+    """The exact law of the k-step sum for every k in ``steps``, from one DP
+    pass to the largest k (k = 0 gives the law of the empty sum).  This is
+    the one source of exact laws: its state after k steps is the one a
+    k-step pass ends in, bit for bit and tail included (see ``_dp_pass``)."""
     wanted = set(steps)
     top = max(wanted)
     if top > MAX_EXACT_N:
         raise ValueError(f"n={top} exceeds MAX_EXACT_N={MAX_EXACT_N}")
     laws = {}
-    for k, state in enumerate(_dp_pass(params, top, start)):
+    for k, (f0, f1, lo, hi, tail) in enumerate(_dp_pass(params, top, start)):
         if k in wanted:
-            laws[k] = _snapshot(state, k)
+            mass = np.zeros(k + 1)
+            np.add(f0[lo:hi], f1[lo:hi], out=mass[lo:hi])
+            laws[k] = Pmf(mass, tail=float(tail), tol=_exact_tol(k))
     return laws
 
 
@@ -292,78 +282,14 @@ def exact_pmf(params: ChainParams, n: int, start: Start = "stationary") -> Pmf:
     are dropped and ``tail`` stays below n + 1 times the smallest normal
     double.  The cost is O(n * width) time, at most O(n^2), and O(n) memory.
 
-    The result is the last state of one pass of the DP (``_dp_pass``); the
-    state that pass holds after k < n steps is ``exact_pmf(params, k, start)``
-    to the last bit, tail included, which lets one pass serve every shorter
-    sum.
+    The result is the last state of one pass of the DP (``_pass_snapshots``);
+    the state that pass holds after k < n steps is ``exact_pmf(params, k,
+    start)`` to the last bit, tail included, which lets one pass serve every
+    shorter sum.
     """
     if n < 1:
         raise ValueError("n must be >= 1 (the empty sum is not defined here)")
-    if n > MAX_EXACT_N:
-        raise ValueError(f"n={n} exceeds MAX_EXACT_N={MAX_EXACT_N}")
-    for state in _dp_pass(params, n, start):
-        pass
-    return _snapshot(state, n)
-
-
-def _conditional_laws(
-    params: ChainParams, n: int, indices: Iterable[int], j: int
-) -> Iterator[tuple[int, Pmf]]:
-    """Yield ``(i, L(S - X_i | X_i = j))`` for each index, from as few DP
-    passes out of state j as the memory budget allows.
-
-    The law at index i convolves the laws after i - 1 and n - i steps out of
-    state j (see ``exact_conditional_pmf``), and both are states of one pass
-    out of j.  Indices are grouped by their shorter side min(i - 1, n - i),
-    which is at most (n - 1) // 2; a pass keeps the shorter-side laws of its
-    groups, about n^2/8 doubles when every index is requested, so index sets
-    whose kept laws exceed ``_KEPT_DOUBLES`` are split over several passes.
-    Below that budget (every index up to n of about 5 800) one pass serves
-    them all.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if j not in (0, 1):
-        raise ValueError(f"state j must be 0 or 1, got {j!r}")
-    groups: dict[int, list[int]] = {}  # shorter side -> indices
-    for i in sorted(set(indices)):
-        if not 1 <= i <= n:
-            raise ValueError(f"index i={i} out of range 1..{n}")
-        groups.setdefault(min(i - 1, n - i), []).append(i)
-    if groups and n - 1 - min(groups) > MAX_EXACT_N:
-        raise ValueError(f"n={n - 1 - min(groups)} exceeds MAX_EXACT_N={MAX_EXACT_N}")
-    start = "state1" if j == 1 else "state0"
-    shorter = sorted(groups)
-    batch: dict[int, list[int]] = {}
-    kept = 0
-    for s in shorter:
-        batch[s] = groups[s]
-        kept += s + 1
-        if kept >= _KEPT_DOUBLES or s == shorter[-1]:
-            yield from _pass_conditionals(params, n, batch, start)
-            batch, kept = {}, 0
-
-
-def _pass_conditionals(
-    params: ChainParams, n: int, groups: dict[int, list[int]], start: Start
-) -> Iterator[tuple[int, Pmf]]:
-    """The conditional laws of the grouped indices from one DP pass.
-
-    The pass keeps its state after s steps for each shorter side s, and
-    emits a group when it reaches the longer side n - 1 - s; the kept law is
-    then dropped.  Groups therefore come out from the middle outwards.
-    """
-    kept: dict[int, Pmf] = {}
-    for k, state in enumerate(_dp_pass(params, n - 1 - min(groups), start)):
-        if k in groups:
-            kept[k] = _snapshot(state, k)
-        s = n - 1 - k  # the shorter side of the indices whose longer side is k
-        if s in groups:
-            long_law = kept[k] if k in kept else _snapshot(state, k)
-            short_law = kept.pop(s)
-            for i in groups[s]:
-                left, right = (short_law, long_law) if i - 1 < n - i else (long_law, short_law)
-                yield i, _conditional_law(left, right, n)
+    return _pass_snapshots(params, start, [n])[n]
 
 
 def _conditional_law(left: Pmf, right: Pmf, n: int) -> Pmf:
@@ -388,8 +314,12 @@ def exact_conditional_pmf(params: ChainParams, n: int, i: int, j: int) -> Pmf:
     for bit.  It carries both segments' dropped subnormal mass as ``tail``
     and the size-aware tolerance of an n-step exact law.
     """
-    ((_, law),) = _conditional_laws(params, n, [i], j)
-    return law
+    if not 1 <= i <= n:
+        raise ValueError(f"index i={i} out of range 1..{n}")
+    if j not in (0, 1):
+        raise ValueError(f"state j must be 0 or 1, got {j!r}")
+    laws = _pass_snapshots(params, "state1" if j == 1 else "state0", (i - 1, n - i))
+    return _conditional_law(laws[i - 1], laws[n - i], n)
 
 
 @dataclass(frozen=True)

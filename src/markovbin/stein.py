@@ -18,7 +18,7 @@ negative binomial).  Residuals are checked, not trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from .bounds import bound_constants, gamma_fn
 from .core import (
     ChainParams,
     Pmf,
-    _conditional_laws,
+    _conditional_law,
+    _pass_snapshots,
     _zero_padded,
     exact_pmf,
     moments_from_pmf,
@@ -50,6 +51,10 @@ __all__ = [
 _STEIN_TOL = 1e-9  # slack on the Stein-solution bounds, for solver rounding
 _LEMMA24_TOL = 1e-12  # slack on the Lemma 2.4 inequalities, for exact-law rounding
 _BINOMIAL_EXTEND = 64  # how far past m binomial Stein solutions are tabulated
+# Doubles of segment laws one round of ``_lemma24_reports`` keeps per start
+# state (32 MB).  Every index at sum length n keeps about n^2/2 of them, which
+# is 20 GB per state at MAX_EXACT_N, so larger index sets take more rounds.
+_KEPT_DOUBLES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,52 +389,69 @@ def _lemma24_reports(
 ) -> dict[int, Lemma24Report]:
     """Lemma 2.4 reports for each index, keyed by index in ascending order.
 
-    The conditional laws come from one DP pass out of each state, run in
-    lockstep, so the cost is about 3n DP steps plus the convolutions
-    (O(n^3/6) multiply-adds for every index).  The kept shorter-side laws
-    take about n^2/4 doubles; past 2 * ``core._KEPT_DOUBLES`` (64 MB, every
-    index at n of about 5 800) each state takes more passes instead.
+    The law of S takes one DP pass, and each round of ``_lemma24_rounds``
+    one pass out of each state, whose laws are released before the next
+    round's passes.  Up to n of about 2 900 every index fits in one round,
+    so the cost is about 3n DP steps plus the convolutions (O(n^3/6)
+    multiply-adds for every index).
     """
-    indices = list(indices)
-    laws = zip(_conditional_laws(params, n, indices, 1), _conditional_laws(params, n, indices, 0))
-    law_s = exact_pmf(params, n)
-    return _lemma24_compare(
-        params, n, law_s, ((i, law1, law0) for (i, law1), (_, law0) in laws)
-    )
+    law_s = {n: exact_pmf(params, n)}
+    reports = {}
+    for batch in _lemma24_rounds(n, indices):
+        steps = {k for i in batch for k in (i - 1, n - i)}
+        laws = {start: _pass_snapshots(params, start, steps) for start in ("state1", "state0")}
+        reports.update(_lemma24_from_laws(params, n, {"stationary": law_s, **laws}, batch))
+        del laws  # before the next round's passes
+    return dict(sorted(reports.items()))
 
 
-def _lemma24_compare(
-    params: ChainParams, n: int, law_s: Pmf, laws: Iterable[tuple[int, Pmf, Pmf]]
+def _lemma24_rounds(n: int, indices: Iterable[int]) -> Iterator[list[int]]:
+    """The indices in rounds.  Index i reads the laws after i - 1 and n - i
+    steps, n + 1 doubles, which index n + 1 - i reads too: the two share the
+    shorter side min(i - 1, n - i).  Each round takes the indices of the
+    next shorter sides, as many as keep at most ``_KEPT_DOUBLES`` doubles
+    per state."""
+    sides: dict[int, list[int]] = {}
+    for i in set(indices):
+        if not 1 <= i <= n:
+            raise ValueError(f"index i={i} out of range 1..{n}")
+        sides.setdefault(min(i - 1, n - i), []).append(i)
+    order = sorted(sides)
+    per_round = max(1, _KEPT_DOUBLES // (n + 1))
+    for first in range(0, len(order), per_round):
+        yield [i for side in order[first : first + per_round] for i in sides[side]]
+
+
+def _lemma24_from_laws(
+    params: ChainParams, n: int, laws: dict[str, dict[int, Pmf]], indices: Iterable[int]
 ) -> dict[int, Lemma24Report]:
-    """Lemma 2.4 reports from the law of S and, for each index i, the laws
-    of S - X_i given X_i = 1 and given X_i = 0; keyed by index in ascending
-    order.  Everything that does not depend on the index (the constants,
-    the smoothing factor and both right-hand sides) is computed once.
+    """Lemma 2.4 reports for each index, keyed by index in ascending order,
+    from exact laws keyed by start and number of steps: the law of S under
+    ``"stationary"`` and the segment laws of each index i (i - 1 and n - i
+    steps) under ``"state1"`` and ``"state0"``.  Everything that does not
+    depend on the index (the constants, the smoothing factor and both
+    right-hand sides) is computed once.
     """
     consts = bound_constants(params)
     amax = max(params.alpha, params.beta)
     smoothing = gamma_fn(consts, n / 4.0) + amax ** (n // 4)
     rhs_sup = consts.c1 * smoothing
-    rhs_delta = (
-        abs(params.alpha - params.beta)
-        * (5.0 + 23.0 * amax)
-        / (1.0 - amax) ** 2
-        * smoothing
-    )
+    spread = abs(params.alpha - params.beta) * (5.0 + 23.0 * amax) / (1.0 - amax) ** 2
+    rhs_delta = spread * smoothing
 
+    law_s, state1, state0 = laws["stationary"][n], laws["state1"], laws["state0"]
     reports = {}
-    for i, law1, law0 in laws:
+    for i in sorted(indices):
+        law1 = _conditional_law(state1[i - 1], state1[n - i], n)
+        law0 = _conditional_law(state0[i - 1], state0[n - i], n)
         tv2 = 2.0 * tv_distance(law1, law_s)
         ok_sup = tv2 <= rhs_sup + _LEMMA24_TOL
 
         # E dh_t(S) = -P(S = t) for the threshold probe h_t, so the probed
         # left side is |F1(t) - F0(t) + (mean1 - mean0) * P(S = t)|.
-        pmf1 = _zero_padded(law1.mass, n + 1)
-        pmf0 = _zero_padded(law0.mass, n + 1)
-        mean1 = moments_from_pmf(law1)[0]
-        mean0 = moments_from_pmf(law0)[0]
-        probes = np.abs(np.cumsum(pmf1 - pmf0) + (mean1 - mean0) * law_s.mass)
-        probe_max = float(probes.max())
+        gap = np.cumsum(_zero_padded(law1.mass, n + 1) - _zero_padded(law0.mass, n + 1))
+        shift = moments_from_pmf(law1)[0] - moments_from_pmf(law0)[0]
+        probe_max = float(np.abs(gap + shift * law_s.mass).max())
         ok_delta = probe_max <= rhs_delta + _LEMMA24_TOL
 
         reports[i] = Lemma24Report(
@@ -442,4 +464,4 @@ def _lemma24_compare(
             rhs_delta=rhs_delta,
             smoothing=smoothing,
         )
-    return dict(sorted(reports.items()))
+    return reports

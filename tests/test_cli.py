@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from markovbin import (
+    MAX_EXACT_N,
     ChainParams,
     DegenerateFitError,
     Regime,
@@ -25,7 +26,7 @@ from markovbin import (
     tv_distance,
 )
 from markovbin.cli import SweepConfig, evaluate_point, main, run_sweep
-from markovbin.stein import _lemma24_reports, verify_lemma24
+from markovbin.stein import _lemma24_from_laws, _lemma24_reports, verify_lemma24
 
 
 def run(argv):
@@ -280,6 +281,43 @@ class TestVerifyCommand:
         assert excinfo.value.code == 2
 
 
+class TestPastMaxExactN:
+    """An n past MAX_EXACT_N is a usage error wherever it needs an exact law."""
+
+    POINT = ["--alpha", "0.3", "--beta", "0.6"]
+    BIG = str(MAX_EXACT_N + 1)
+
+    @staticmethod
+    def _assert_usage_error(argv, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: markovbin {command}")
+        assert str(MAX_EXACT_N) in err
+
+    def test_fit_exact(self, capsys):
+        self._assert_usage_error(["fit", *self.POINT, "--n", self.BIG, "--exact"], capsys, "fit")
+        # without --exact the fit needs no exact law
+        assert run(["fit", *self.POINT, "--n", self.BIG]) == 0
+
+    @pytest.mark.parametrize(
+        "suite", [["bounds"], ["mc-exact"], ["lemma21"], ["lemma24"], ["lemma24", "--index", "7"]]
+    )
+    def test_verify(self, suite, capsys):
+        self._assert_usage_error(["verify", *suite, *self.POINT, "--n", self.BIG], capsys, "verify")
+
+    def test_verify_stein_nb_needs_no_exact_law(self):
+        argv = ["verify", "stein-nb", "--alpha", "0.1", "--beta", "0.8", "--n", self.BIG]
+        assert run([*argv, "--subsets", "2"]) == 0
+
+    def test_sweep(self, tmp_path, capsys):
+        output = tmp_path / "sweep.csv"
+        argv = ["sweep", "--alphas", "0.3", "--betas", "0.6", "--ns", "5", self.BIG]
+        self._assert_usage_error([*argv, "--output", str(output)], capsys, "sweep")
+        assert not output.exists()
+
+
 class TestSweepErrors:
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "out.csv"
@@ -497,7 +535,7 @@ class TestSweepEngine:
         """Every law ``_sweep_laws`` shares is the point's own exact law, and
         every row's Lemma 2.4 reports equal the unshared ones; returns the
         shared laws."""
-        from markovbin.cli import _sweep_indices, _sweep_laws, _sweep_lemma24
+        from markovbin.cli import _sweep_indices, _sweep_laws
 
         laws = _sweep_laws(params, config)
         for start, by_steps in laws.items():
@@ -509,7 +547,8 @@ class TestSweepEngine:
                 assert law.mass.tobytes() == wanted.mass.tobytes()
                 assert (law.tail, law.tol) == (wanted.tail, wanted.tol)
         for n in config.n_list:
-            assert _sweep_lemma24(params, n, laws) == _lemma24_reports(params, n, _sweep_indices(n))
+            reports = _lemma24_reports(params, n, _sweep_indices(n))
+            assert _lemma24_from_laws(params, n, laws, _sweep_indices(n)) == reports
         return laws
 
     @pytest.mark.parametrize("alpha,beta", [(0.3, 0.6), (0.6, 0.25), (0.4, 0.4)])

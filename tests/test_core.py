@@ -17,7 +17,7 @@ from markovbin import (
 )
 
 from markovbin.cli import evaluate_point
-from markovbin.core import PMF_TOL, _conditional_laws, _dp_pass
+from markovbin.core import PMF_TOL, _dp_pass
 from markovbin.fit import DegenerateFitError, RegimeError
 from oracles import enumerate_pmf, full_dp_pmf, mc_state1_frequency
 
@@ -269,22 +269,18 @@ class TestDpPass:
 
 
 def _assert_conditionals_match_separate_runs(params, n):
-    """Every L(S - X_i | X_i = j), alone and from an all-index pass, equals
-    the convolution of two separate DP runs; returns how many of them have
-    dropped mass in both segments."""
+    """Every L(S - X_i | X_i = j) equals the convolution of two separate DP
+    runs; returns how many of them have dropped mass in both segments."""
     both_tailed = 0
     for j in (0, 1):
         start = "state1" if j == 1 else "state0"
-        batch = dict(_conditional_laws(params, n, range(1, n + 1), j))
-        assert sorted(batch) == list(range(1, n + 1))
         for i in range(1, n + 1):
             one = Pmf(np.ones(1))
             left = exact_pmf(params, i - 1, start) if i > 1 else one
             right = exact_pmf(params, n - i, start) if i < n else one
-            mass = np.convolve(left.mass, right.mass)
-            for law in (exact_conditional_pmf(params, n, i, j), batch[i]):
-                assert law.mass.tobytes() == mass.tobytes()
-                assert law.tail == left.tail + right.tail
+            law = exact_conditional_pmf(params, n, i, j)
+            assert law.mass.tobytes() == np.convolve(left.mass, right.mass).tobytes()
+            assert law.tail == left.tail + right.tail
             both_tailed += left.tail > 0.0 and right.tail > 0.0
     return both_tailed
 
@@ -294,20 +290,6 @@ class TestConditionalFromOnePass:
     @pytest.mark.parametrize("alpha,beta", [(0.3, 0.6), (0.6, 0.25), (0.4, 0.4)])
     def test_matches_separate_runs(self, alpha, beta, n):
         _assert_conditionals_match_separate_runs(ChainParams(alpha, beta), n)
-
-    def test_memory_budget_splits_passes(self, monkeypatch):
-        import markovbin.core as core
-
-        passes, dp_pass = [], core._dp_pass
-        monkeypatch.setattr(core, "_KEPT_DOUBLES", 100)
-        monkeypatch.setattr(core, "_dp_pass", lambda *args: passes.append(args) or dp_pass(*args))
-        params, n = ChainParams(0.3, 0.6), 60
-        laws = dict(_conditional_laws(params, n, range(1, n + 1), 1))
-        # the kept laws hold 1..30 doubles; closing a batch at >= 100 gives
-        # 1-14, 15-20, 21-25, 26-29 and 30
-        assert len(passes) == 5
-        assert sorted(laws) == list(range(1, n + 1))
-        _assert_conditionals_match_separate_runs(params, n)
 
     def test_matches_separate_runs_with_tail(self):
         # 92 of these 400 laws have dropped mass in both segments, so the

@@ -298,3 +298,33 @@ class TestLemma24Reports:
     def test_index_validation(self):
         with pytest.raises(ValueError):
             _lemma24_reports(ChainParams(0.3, 0.6), 10, [3, 11])
+
+    def test_memory_budget_splits_passes(self, monkeypatch):
+        import markovbin.core as core
+        import markovbin.stein as stein
+
+        params = ChainParams(0.3, 0.6)
+        # Indices i and n + 1 - i read the laws after i - 1 and n - i steps,
+        # n + 1 doubles together; the middle index of an odd n reads one law
+        # of (n + 1) / 2 doubles.  A budget of 200 doubles per state holds
+        # three pairs, so n = 60 takes 30 / 3 rounds and n = 61 one more for
+        # its middle index.
+        for n, rounds in ((60, 10), (61, 11)):
+            whole = _lemma24_reports(params, n, range(1, n + 1))
+            passes, kept = [], []
+            dp_pass, pass_snapshots = core._dp_pass, stein._pass_snapshots
+
+            def snapshots(*args):
+                laws = pass_snapshots(*args)
+                kept.append(sum(law.mass.size for law in laws.values()))
+                return laws
+
+            monkeypatch.setattr(stein, "_KEPT_DOUBLES", 200)
+            monkeypatch.setattr(stein, "_pass_snapshots", snapshots)
+            monkeypatch.setattr(core, "_dp_pass", lambda *a: passes.append(a) or dp_pass(*a))
+            reports = _lemma24_reports(params, n, range(1, n + 1))
+            monkeypatch.undo()
+            assert len(passes) == 2 * rounds + 1  # two states per round, one stationary
+            assert len(kept) == 2 * rounds and max(kept) <= 200
+            assert list(reports) == list(whole) == list(range(1, n + 1))
+            assert all(reports[i] == whole[i] for i in whole)
