@@ -1,116 +1,19 @@
 """Markov binomial distributions: exact laws, moment-matched negative
 binomial / binomial approximations, fully explicit total-variation error
-bounds, and numerical verification of the inequalities behind them."""
+bounds, and numerical verification of the inequalities behind them.
 
-from .core import (
-    MAX_EXACT_N,
-    ChainParams,
-    MomentSummary,
-    Pmf,
-    StationaryLaw,
-    exact_conditional_pmf,
-    exact_pmf,
-    moments_closed_form,
-    moments_from_pmf,
-    shift_tv,
-    stationary_law,
-    tv_distance,
-)
-from .fit import (
-    BinFit,
-    ConsistencyError,
-    DegenerateFitError,
-    NbFit,
-    Regime,
-    RegimeError,
-    binomial_pmf,
-    classify_regime,
-    fit_binomial,
-    fit_negative_binomial,
-    nb_pmf,
-    poisson_pmf,
-)
-from .bounds import (
-    BoundConstants,
-    BoundReport,
-    bound_binomial,
-    bound_constants,
-    bound_nb,
-    gamma_fn,
-)
-from .stein import (
-    BinomialSteinReport,
-    DeltaBoundReport,
-    Lemma24Report,
-    NbSteinSetup,
-    SteinSolution,
-    check_binomial_lemma31,
-    check_nb_delta_bound,
-    solve_binomial_stein,
-    solve_nb_stein,
-    verify_lemma24,
-)
-from .coupling import (
-    BlockSamples,
-    CoupledState,
-    MeetingSamples,
-    coupled_transition_law,
-    empirical_pmf,
-    sample_blocks,
-    sample_meeting_times,
-    sample_sums,
-)
+Each layer module's ``__all__`` is its public API; the package re-exports
+them, in pipeline order."""
+
+from . import bounds, core, coupling, fit, stein
+from .core import *
+from .fit import *
+from .bounds import *
+from .stein import *
+from .coupling import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_EXACT_N",
-    "ChainParams",
-    "StationaryLaw",
-    "Pmf",
-    "MomentSummary",
-    "stationary_law",
-    "exact_pmf",
-    "exact_conditional_pmf",
-    "moments_closed_form",
-    "moments_from_pmf",
-    "tv_distance",
-    "shift_tv",
-    "Regime",
-    "RegimeError",
-    "DegenerateFitError",
-    "ConsistencyError",
-    "NbFit",
-    "BinFit",
-    "classify_regime",
-    "fit_negative_binomial",
-    "fit_binomial",
-    "nb_pmf",
-    "binomial_pmf",
-    "poisson_pmf",
-    "BoundConstants",
-    "BoundReport",
-    "bound_constants",
-    "gamma_fn",
-    "bound_nb",
-    "bound_binomial",
-    "NbSteinSetup",
-    "SteinSolution",
-    "DeltaBoundReport",
-    "BinomialSteinReport",
-    "Lemma24Report",
-    "solve_nb_stein",
-    "check_nb_delta_bound",
-    "solve_binomial_stein",
-    "check_binomial_lemma31",
-    "verify_lemma24",
-    "CoupledState",
-    "MeetingSamples",
-    "BlockSamples",
-    "sample_sums",
-    "empirical_pmf",
-    "coupled_transition_law",
-    "sample_meeting_times",
-    "sample_blocks",
-    "__version__",
+    *core.__all__, *fit.__all__, *bounds.__all__, *stein.__all__, *coupling.__all__, "__version__"
 ]

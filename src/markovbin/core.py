@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "MAX_EXACT_N",
-    "PMF_TOL",
     "ChainParams",
     "StationaryLaw",
     "Pmf",

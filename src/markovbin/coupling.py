@@ -37,8 +37,6 @@ import numpy as np
 from .core import ChainParams, Pmf, Start, _initial_law
 
 __all__ = [
-    "DEFAULT_STEP_CAP",
-    "LOCKSTEP_HORIZON",
     "CoupledState",
     "MeetingSamples",
     "BlockSamples",

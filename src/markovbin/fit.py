@@ -26,7 +26,6 @@ import numpy as np
 from .core import ChainParams, MomentSummary, Pmf, moments_closed_form, stationary_law
 
 __all__ = [
-    "EQUIDISPERSION_RTOL",
     "Regime",
     "RegimeError",
     "DegenerateFitError",
@@ -214,10 +213,19 @@ def fit_binomial(params: ChainParams, n: int) -> BinFit:
     return _fit(params, n, moments, regime)
 
 
-def _auto_truncation(quantile: float, cap_hint_mean: float, cap_hint_std: float) -> int:
-    """The 1 - TRUNCATION_MASS quantile, capped at 10*(mean + 10*std)."""
-    cap = int(math.ceil(10.0 * (cap_hint_mean + 10.0 * cap_hint_std))) + 1
-    return max(1, min(int(quantile), cap))
+def _tabulated(family: str, args: tuple, mean: float, std: float, trunc: int | None) -> Pmf:
+    """Mass of ``scipy.stats.<family>(*args)`` on {0..trunc} with its tail
+    mass; trunc defaults to the 1 - TRUNCATION_MASS quantile, capped at
+    10*(mean + 10*std)."""
+    from scipy import stats
+
+    law = getattr(stats, family)
+    if trunc is None:
+        cap = int(math.ceil(10.0 * (mean + 10.0 * std))) + 1
+        trunc = max(1, min(int(law.ppf(1.0 - TRUNCATION_MASS, *args)), cap))
+    if trunc < 0:
+        raise ValueError("truncation must be non-negative")
+    return Pmf(law.pmf(np.arange(trunc + 1), *args), tail=float(law.sf(trunc, *args)))
 
 
 def nb_pmf(r: float, q: float, trunc: int | None = None) -> Pmf:
@@ -233,16 +241,8 @@ def nb_pmf(r: float, q: float, trunc: int | None = None) -> Pmf:
         raise ValueError(f"q must lie in (0, 1], got {q!r}")
     if q == 1.0:
         return Pmf(np.ones(1))
-    from scipy import stats
-
-    if trunc is None:
-        mean = r * (1.0 - q) / q
-        std = math.sqrt(mean / q)
-        trunc = _auto_truncation(stats.nbinom.ppf(1.0 - TRUNCATION_MASS, r, q), mean, std)
-    if trunc < 0:
-        raise ValueError("truncation must be non-negative")
-    mass = stats.nbinom.pmf(np.arange(trunc + 1), r, q)
-    return Pmf(mass, tail=float(stats.nbinom.sf(trunc, r, q)))
+    mean = r * (1.0 - q) / q
+    return _tabulated("nbinom", (r, q), mean, math.sqrt(mean / q), trunc)
 
 
 def binomial_pmf(m: int, theta: float, trunc: int | None = None) -> Pmf:
@@ -269,14 +269,7 @@ def poisson_pmf(lam: float, trunc: int | None = None) -> Pmf:
         raise ValueError(f"lam must be non-negative, got {lam!r}")
     if lam == 0.0:
         return Pmf(np.ones(1))
-    from scipy import stats
-
-    if trunc is None:
-        trunc = _auto_truncation(stats.poisson.ppf(1.0 - TRUNCATION_MASS, lam), lam, math.sqrt(lam))
-    if trunc < 0:
-        raise ValueError("truncation must be non-negative")
-    mass = stats.poisson.pmf(np.arange(trunc + 1), lam)
-    return Pmf(mass, tail=float(stats.poisson.sf(trunc, lam)))
+    return _tabulated("poisson", (lam,), lam, math.sqrt(lam), trunc)
 
 
 def _reference(fit: NbFit | BinFit) -> Pmf:

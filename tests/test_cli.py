@@ -76,6 +76,16 @@ class TestFitCommand:
         assert record["status"] == "degenerate_fit"
         assert record["bound"] is None
 
+    def test_overflowing_bound_reported_missing(self, capsys):
+        # alpha = 1e-158 overflows the bound constants to inf
+        argv = ["fit", "--alpha", "1e-158", "--beta", "0.5", "--n", "3"]
+        assert run([*argv, "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "ok"
+        assert record["bound"] is None and record["bound_clipped"] == 1.0
+        assert run(argv) == 0
+        assert "bound = n/a\nbound_clipped = 1\n" in capsys.readouterr().out
+
 
 class TestSweepCommand:
     def test_grid_with_bounds_check(self, tmp_path, capsys):
@@ -141,6 +151,22 @@ class TestSweepCommand:
             for value in row.values():
                 if isinstance(value, float):
                     assert math.isfinite(value)
+
+    def test_overflowing_bound_reported_missing(self, tmp_path):
+        # alpha = 1e-158 overflows the bound constants to inf; CSV and JSON
+        # both report the bound as missing and keep the clipped bound 1
+        argv = ["sweep", "--alphas", "0.3", "1e-158", "--betas", "0.5", "--ns", "3",
+                "--checks", "bounds"]
+        json_out, csv_out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        assert run([*argv, "--format", "json", "--output", str(json_out)]) == 0
+        assert run([*argv, "--output", str(csv_out)]) == 0
+        finite, overflowed = json.loads(json_out.read_text())["rows"]
+        assert finite["bound"] > 1.0
+        assert overflowed["bound"] is None and overflowed["bound_clipped"] == 1.0
+        assert overflowed["check_bounds"] == "pass"
+        with open(csv_out) as handle:
+            row = list(csv.DictReader(handle))[1]
+        assert (row["bound"], row["bound_clipped"]) == ("", "1")
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -326,14 +352,18 @@ class TestSweepErrors:
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
 
-    def test_failed_write_keeps_existing_report(self, tmp_path):
-        # alpha = 1e-158 overflows the bound constants to inf, which the JSON
-        # writer rejects part way through the report
+    def test_failed_write_keeps_existing_report(self, tmp_path, monkeypatch, capsys):
+        # the rename of the complete report over the old one fails
+        def failing_replace(source, target):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr("markovbin.cli.os.replace", failing_replace)
         target = tmp_path / "output.json"
         target.write_bytes(b'{"previous": "report"}\n')
-        with pytest.raises(ValueError):
-            run(["sweep", "--alphas", "0.3", "1e-158", "--betas", "0.5", "--ns", "3",
-                 "--format", "json", "--output", str(target)])
+        code = run(["sweep", "--alphas", "0.3", "--betas", "0.5", "--ns", "3",
+                    "--format", "json", "--output", str(target)])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
         assert target.read_bytes() == b'{"previous": "report"}\n'
         assert os.listdir(tmp_path) == ["output.json"]
 

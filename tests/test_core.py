@@ -102,6 +102,10 @@ class TestExactPmf:
         with pytest.raises(ValueError):
             exact_pmf(ChainParams(0.3, 0.6), 0)
 
+    def test_rejects_n_past_cap(self):
+        with pytest.raises(ValueError, match="exceeds MAX_EXACT_N"):
+            exact_pmf(ChainParams(0.3, 0.6), MAX_EXACT_N + 1)
+
     def test_equal_rates_degenerate_to_binomial(self):
         pmf = exact_pmf(ChainParams(0.5, 0.5), 3)
         assert np.allclose(pmf.mass, [1 / 8, 3 / 8, 3 / 8, 1 / 8], atol=1e-15)
