@@ -58,7 +58,9 @@ def bound_constants(params: ChainParams) -> BoundConstants:
     amax = max(a, b)
     mu1 = (1.0 - a) / a
     mu2 = b / (1.0 - b)
-    sigma1_sq = (1.0 - a) / a**2
+    # below alpha ~ 1.5e-162 alpha**2 underflows to 0; the true sigma1_sq
+    # overflows there, so inf is its value as a double
+    sigma1_sq = (1.0 - a) / a**2 if a**2 > 0.0 else math.inf
     sigma2_sq = b / (1.0 - b) ** 2
     blocks = mu1 + mu2 + 2.0
     return BoundConstants(

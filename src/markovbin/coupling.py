@@ -20,10 +20,11 @@ whose 256-bit counter encodes (purpose, t), and sample i always reads
 position i of each block, so a sample is a pure function of (seed, i):
 changing the number of samples, or splitting work across workers, never
 changes an individual draw.  The first-passage lockstep advances only the
-samples still running: it draws block t only up to the last running index
-and reads just the running samples' words of it, so a finished sample costs
-nothing.  The rare sample still running after the fixed lockstep horizon
-switches to a private stream keyed by its index.
+samples still running, grouped by state: it draws block t only up to the
+last running index and reads just their words of it.  Once they are few
+next to that index, each finishes alone on its own words of the blocks.
+The rare sample still running after the fixed lockstep horizon switches to
+a private stream keyed by its index.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ DEFAULT_STEP_CAP = 10_000
 # per-sample streams.
 LOCKSTEP_HORIZON = 256
 
+# The lockstep hands over to per-copy steps once running copies * _SOLO_WORDS <= words
+# per block: one copy's word alone costs 650 to 800 block words (2-vCPU x86-64, numpy 2.4).
+_SOLO_WORDS = 700
+
 _PURPOSE_SUMS = 1
 _PURPOSE_MEETING = 2
 _PURPOSE_BLOCKS = 3
@@ -73,18 +78,18 @@ def _stream(seed: int, purpose: int, block: int) -> np.random.Generator:
     return np.random.Generator(philox)
 
 
-def _block_words(seed: int, purpose: int) -> Callable[[int, int], np.ndarray]:
-    """``words(block, size)``: the first ``size`` raw words of
+def _block_words(seed: int, purpose: int) -> Callable[..., np.ndarray]:
+    """``words(block, size, skip=0)``: the first ``size`` raw words of
     ``_stream(seed, purpose, block)``, which its ``random`` turns into
-    uniforms.  One Philox generator is re-seated on each block's counter,
-    since setting its state costs a few microseconds and building a new one
-    about 30 times more.
+    uniforms, or of its words from ``4 * skip`` on.  One Philox generator is
+    re-seated on each block's counter, since setting its state costs a few
+    microseconds and building a new one about 30 times more.
     """
     philox = np.random.Philox(key=int(seed) & _KEY_MASK)
     state = philox.state
 
-    def words(block: int, size: int) -> np.ndarray:
-        counter = _counter(purpose, block)
+    def words(block: int, size: int, skip: int = 0) -> np.ndarray:
+        counter = _counter(purpose, block) + skip
         state["state"]["counter"] = np.array(
             [(counter >> shift) & _WORD_MASK for shift in (0, 64, 128, 192)], dtype=np.uint64
         )
@@ -92,6 +97,13 @@ def _block_words(seed: int, purpose: int) -> Callable[[int, int], np.ndarray]:
         return philox.random_raw(size)
 
     return words
+
+
+def _sample_word(words: Callable[..., np.ndarray], block: int, i: int) -> int:
+    """Raw word i of ``block`` through ``words`` of ``_block_words``, fetched
+    alone: Philox makes 4 words per counter value, so it is lane i & 3 of the
+    words from counter value ``_counter(purpose, block) + (i >> 2)`` on."""
+    return int(words(block, (i & 3) + 1, i >> 2)[-1])
 
 
 def _tail_stream(seed: int, purpose: int, index: int) -> np.random.Generator:
@@ -220,59 +232,75 @@ def _first_passages(
     ``table`` is ``(t1, t2, out3)`` as built by ``_kernel_table``.  Returns
     each copy's first entry time into {0, 3} and into 0 (0 where not reached
     within ``step_cap`` steps), whether it reached 0, and the number of
-    lockstep transitions of a running copy that left {0, 3} after entering
-    it.  A copy stops once it reaches 0, so moves after that are not
-    simulated.
+    transitions up to the lockstep horizon of a running copy that left
+    {0, 3} after entering it.  A copy stops once it reaches 0, so moves
+    after that are not simulated.
 
-    The lockstep keeps the running copies' indices in ascending order and
-    steps only them.  Block t is drawn as raw Philox words up to the last
-    running index; ``Generator.random`` would turn word w into the uniform
-    u = (w >> 11) * 2**-53, and u >= t exactly when (w >> 11) >= ceil(t *
-    2**53), so the step compares the words with those integer thresholds.
-    A step is then one index and one table lookup: since t1 <= t2, the
-    number of the thresholds of state s that u reaches is 0 (move to 0), 1
-    (move to 3) or 2 (move to out3[s]), and ``lut[3*s + that number]`` is
-    the next state: ``lut`` lists (0, 3, out3[s]) for each state s in turn.
+    The dense lockstep keeps the running copies' indices in groups keyed by
+    (state, entered {0, 3}), in no particular order.  Block t is drawn as
+    raw Philox words up to the last running index; ``Generator.random``
+    would turn word w into the uniform u = (w >> 11) * 2**-53, and u >= t
+    exactly when (w >> 11) >= ceil(t * 2**53), so each group compares its
+    copies' words with its state's two integer thresholds and splits into
+    the copies moving to 0, to 3 and to out3[s].  Once the running copies
+    are so few that fetching each one's word alone is cheaper than drawing
+    the block (``_SOLO_WORDS``), every copy left finishes alone: it reads
+    its own word of each block up to the horizon, then its tail stream.
+    Each copy's path is the same wherever the hand-over falls.
     """
     t1, t2, out3 = table
     k1, k2 = (np.ceil(cut * 2.0**53).astype(np.uint64) for cut in (t1, t2))
-    lut = np.stack((np.zeros(4, np.intp), np.full(4, 3, np.intp), out3), axis=1).ravel()
     varsigma = np.zeros(num_samples, dtype=np.int64)
     tau = np.zeros(num_samples, dtype=np.int64)
-    running = np.arange(num_samples)
-    state = np.full(num_samples, _SPLIT_10, dtype=np.intp)
-    met = np.zeros(num_samples, dtype=bool)
+    groups = {(_SPLIT_10, False): np.arange(num_samples)}
     violations = 0
 
     block_words = _block_words(seed, purpose)
     horizon = min(step_cap, LOCKSTEP_HORIZON)
     t = 0
-    while t < horizon and running.size:
+    while t < horizon and groups:
+        last = max(int(idx.max()) for idx in groups.values())
+        if sum(idx.size for idx in groups.values()) * _SOLO_WORDS <= last + 1:
+            break
         t += 1
-        words = block_words(t, int(running[-1]) + 1).take(running) >> 11
-        state = lut.take(3 * state + (words >= k1.take(state)) + (words >= k2.take(state)))
-        on_diag = (state == 0) | (state == 3)
-        violations += int(np.count_nonzero(met & ~on_diag))
-        varsigma[running.take(np.flatnonzero(on_diag & ~met))] = t
-        met |= on_diag
-        tau[running.take(np.flatnonzero(state == 0))] = t
-        # a copy that reached 0 is done; the others keep running
-        keep = np.flatnonzero(state)
-        running, state, met = running.take(keep), state.take(keep), met.take(keep)
+        raw = block_words(t, last + 1)
+        moved: dict[tuple[int, bool], list[np.ndarray]] = {}
+        for (s, met), idx in groups.items():
+            words = (raw if t == 1 else raw.take(idx)) >> 11
+            low, high = words < k1[s], words >= k2[s]
+            for new, pick in ((0, low), (3, ~(low | high)), (int(out3[s]), high)):
+                picked = idx.compress(pick)
+                on_diag = new in (0, 3)
+                if met and not on_diag:
+                    violations += picked.size
+                elif on_diag and not met:
+                    varsigma[picked] = t
+                if new == 0:
+                    tau[picked] = t
+                elif picked.size:
+                    moved.setdefault((new, met or on_diag), []).append(picked)
+        groups = {key: np.concatenate(parts) for key, parts in moved.items()}
 
-    for i, s, has_met in zip(running.tolist(), state.tolist(), met.tolist()):
-        rng = _tail_stream(seed, purpose, i)
-        step = t
-        while step < step_cap:
-            step += 1
-            u = float(rng.random())
-            s = 0 if u < t1[s] else (3 if u < t2[s] else int(out3[s]))
-            if s in (0, 3) and not has_met:
-                has_met = True
-                varsigma[i] = step
-            if s == 0:
-                tau[i] = step
-                break
+    t1, t2, out3 = t1.tolist(), t2.tolist(), out3.tolist()
+    for (s0, met0), idx in groups.items():
+        for i in idx.tolist():
+            s, has_met, rng, step = s0, met0, None, t
+            while step < step_cap:
+                step += 1
+                if step <= horizon:
+                    u = (_sample_word(block_words, step, i) >> 11) * 2.0**-53
+                else:
+                    rng = rng or _tail_stream(seed, purpose, i)
+                    u = float(rng.random())
+                s = 0 if u < t1[s] else (3 if u < t2[s] else out3[s])
+                if s in (0, 3) and not has_met:
+                    has_met = True
+                    varsigma[i] = step
+                elif has_met and s not in (0, 3) and step <= horizon:
+                    violations += 1
+                if s == 0:
+                    tau[i] = step
+                    break
 
     return varsigma, tau, tau > 0, violations
 

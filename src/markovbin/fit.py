@@ -18,6 +18,7 @@ holding the moments passes them down.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,7 +60,8 @@ class RegimeError(ValueError):
 
 
 class DegenerateFitError(ValueError):
-    """Binomial fit collapsed: flooring m_tilde drove theta to 1 or beyond."""
+    """Fit collapsed: flooring m_tilde drove the binomial theta to 1 or
+    beyond, or the negative binomial r underflowed to 0."""
 
 
 class ConsistencyError(RuntimeError):
@@ -134,7 +136,14 @@ def _nb_fit_from_moments(mean: float, variance: float) -> NbFit:
     """Negative binomial (Poisson at equidispersion) for Var S >= E S."""
     if _classify_moments(mean, variance) is Regime.EQUIDISPERSED:
         return NbFit(r=math.inf, q=1.0, poisson_limit=True, lam=mean)
-    r = mean * mean / (variance - mean)
+    if mean * mean >= sys.float_info.min:
+        r = mean * mean / (variance - mean)
+    else:
+        # the square left the normal range and lost its digits, all of them
+        # at alpha = 1e-300, so divide before multiplying
+        r = mean * (mean / (variance - mean))
+    if r == 0.0:
+        raise DegenerateFitError(f"r underflows to 0 at E S={mean!r}")
     q = mean / variance
     return NbFit(r=r, q=q, poisson_limit=False, lam=mean)
 

@@ -36,6 +36,12 @@ class TestBoundConstants:
         assert consts.c1 == pytest.approx(10.0, rel=1e-14)
         assert consts.mu1 == 1.0 and consts.mu2 == 1.0
 
+    def test_alpha_squared_underflow(self):
+        # alpha**2 is 0 as a double; the true sigma1_sq overflows
+        consts = bound_constants(ChainParams(1e-300, 0.5))
+        assert consts.sigma1_sq == math.inf and consts.k2 == math.inf
+        assert consts.mu1 == pytest.approx(1e300, rel=1e-14)
+
     def test_second_point(self):
         consts = bound_constants(ChainParams(0.3, 0.6))
         assert consts.mu1 == pytest.approx(7 / 3, rel=1e-14)

@@ -86,6 +86,22 @@ class TestFitCommand:
         assert run(argv) == 0
         assert "bound = n/a\nbound_clipped = 1\n" in capsys.readouterr().out
 
+    def test_underflowing_alpha_squared_reported_missing(self, capsys):
+        # alpha**2 underflows to 0 at alpha = 1e-300: the bound constants
+        # become inf instead of dividing by zero
+        assert run(["fit", "--alpha", "1e-300", "--beta", "1e-300", "--n", "1", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "ok"
+        assert record["bound"] is None and record["bound_clipped"] == 1.0
+
+    def test_underflowing_mean_squared_keeps_r_positive(self, capsys):
+        # (E S)^2 underflows to 0 at alpha = 1e-300; r is formed without it
+        assert run(["fit", "--alpha", "1e-300", "--beta", "1e-12", "--n", "3", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "ok" and record["regime"] == "overdispersed"
+        assert record["r"] == pytest.approx(2.25e-288, rel=1e-4)
+        assert record["bound"] is None and record["bound_clipped"] == 1.0
+
 
 class TestSweepCommand:
     def test_grid_with_bounds_check(self, tmp_path, capsys):
@@ -167,6 +183,16 @@ class TestSweepCommand:
         with open(csv_out) as handle:
             row = list(csv.DictReader(handle))[1]
         assert (row["bound"], row["bound_clipped"]) == ("", "1")
+
+    def test_underflowing_rates_complete(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--alphas", "1e-300", "--betas", "1e-300", "1e-12", "--ns", "1", "3",
+                "--output", str(out)]
+        assert run(argv) == 0
+        with open(out) as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["status"] for row in rows] == ["ok"] * 4
+        assert all((row["bound"], row["bound_clipped"]) == ("", "1") for row in rows)
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):

@@ -295,11 +295,49 @@ class TestAbsorptionGuard:
                 assert out3[0] in (0, 3) and out3[3] in (0, 3), (alpha, beta)
 
     def test_leaking_table_counts_violations(self, monkeypatch):
-        # row 3 sends a third of its mass to the split state 2
-        t1, t2, out3 = _kernel_table(ChainParams(0.3, 0.6))
-        broken = (t1, t2.copy(), out3.copy())
-        broken[1][3] = t1[3] + (1.0 - t1[3]) * 2.0 / 3.0
-        broken[2][3] = 2
-        monkeypatch.setattr(coupling, "_kernel_table", lambda params: broken)
+        monkeypatch.setattr(coupling, "_kernel_table", lambda params: _leaking_table())
         runs = sample_meeting_times(ChainParams(0.3, 0.6), 2000, seed=17)
         assert runs.absorption_violations > 0
+
+
+def _leaking_table():
+    # row 3 sends a third of its mass to the split state 2
+    t1, t2, out3 = _kernel_table(ChainParams(0.3, 0.6))
+    broken = (t1, t2.copy(), out3.copy())
+    broken[1][3] = t1[3] + (1.0 - t1[3]) * 2.0 / 3.0
+    broken[2][3] = 2
+    return broken
+
+
+class TestHandOverPoint:
+    """No result depends on where the lockstep hands the running copies over
+    to per-copy stepping: at 0 every copy runs alone from the start, at
+    10**12 the lockstep runs to the horizon."""
+
+    @pytest.fixture(params=[0, 10**12], autouse=True)
+    def solo_words(self, request, monkeypatch):
+        monkeypatch.setattr(coupling, "_SOLO_WORDS", request.param)
+
+    @pytest.mark.parametrize("alpha,beta,step_cap", list(TestPinnedStreams.MEETING))
+    def test_meeting_times(self, alpha, beta, step_cap):
+        TestPinnedStreams().test_meeting_times(alpha, beta, step_cap)
+
+    @pytest.mark.parametrize("alpha,beta", list(TestPinnedStreams.BLOCKS))
+    def test_blocks(self, alpha, beta):
+        TestPinnedStreams().test_blocks(alpha, beta)
+
+    @pytest.mark.parametrize("alpha,beta,size", list(TestPinnedStreams.HOT))
+    def test_hot_shape(self, alpha, beta, size):
+        TestPinnedStreams().test_hot_shape(alpha, beta, size)
+
+    def test_threshold_ties(self):
+        TestPinnedStreams().test_threshold_ties_match_generator_random()
+
+    def test_leaking_table_violations(self, monkeypatch):
+        def violations():
+            passages = coupling._first_passages(_leaking_table(), 2000, 17, _PURPOSE_MEETING, 300)
+            return passages[3]
+
+        at_patched_point = violations()
+        monkeypatch.undo()
+        assert at_patched_point == violations() > 0

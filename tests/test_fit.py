@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from markovbin import (
     exact_pmf,
     fit_binomial,
     fit_negative_binomial,
+    moments_closed_form,
     moments_from_pmf,
     nb_pmf,
     poisson_pmf,
@@ -83,6 +85,24 @@ class TestFitNegativeBinomial:
     def test_regime_error_for_underdispersed(self):
         with pytest.raises(RegimeError):
             fit_negative_binomial(ChainParams(0.3, 0.6), 2)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-158])
+    def test_underflowing_mean_squared(self, alpha):
+        # (E S)^2 is 0 at alpha = 1e-300 and subnormal at 1e-158, where it
+        # keeps about 8 digits; r divides first and keeps them all
+        params = ChainParams(alpha, 1e-12)
+        moments = moments_closed_form(params, 3)
+        mean, variance = Fraction(moments.mean), Fraction(moments.variance)
+        fit = fit_negative_binomial(params, 3)
+        assert fit.r == pytest.approx(float(mean * mean / (variance - mean)), rel=1e-15)
+        assert nb_pmf(fit.r, fit.q).mass[0] == 1.0
+
+    def test_underflowing_r_is_degenerate(self):
+        with pytest.raises(DegenerateFitError):
+            _nb_fit_from_moments(5e-324, 1e-300)
+        # an r that still underflows is a degenerate fit
+        with pytest.raises(DegenerateFitError):
+            _nb_fit_from_moments(5e-324, 1e-300)
 
     def test_moment_match_of_fit(self):
         fit = fit_negative_binomial(ChainParams(0.1, 0.8), 100)
