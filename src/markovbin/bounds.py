@@ -63,6 +63,9 @@ def bound_constants(params: ChainParams) -> BoundConstants:
     sigma1_sq = (1.0 - a) / a**2 if a**2 > 0.0 else math.inf
     sigma2_sq = b / (1.0 - b) ** 2
     blocks = mu1 + mu2 + 2.0
+    # below alpha ~ 5.6e-309 mu1 overflows too, and K2 ~ 90/alpha with it;
+    # its quotient of infinities would be nan
+    k2 = 90.0 * (sigma1_sq + sigma2_sq) / blocks if blocks < math.inf else math.inf
     return BoundConstants(
         mu1=mu1,
         mu2=mu2,
@@ -72,7 +75,7 @@ def bound_constants(params: ChainParams) -> BoundConstants:
         c1=10.0 * amax / (1.0 - amax),
         c2=stationary_law(params).p0 * (5.0 + 23.0 * amax) / (1.0 - amax) ** 2,
         k1=math.sqrt(5.0) * math.sqrt(blocks / min(1.0 - a, b, 0.5)),
-        k2=90.0 * (sigma1_sq + sigma2_sq) / blocks,
+        k2=k2,
     )
 
 
@@ -101,6 +104,8 @@ class BoundReport:
     term_breakdown: dict[str, float] = field(repr=False)
 
     def __post_init__(self) -> None:
+        if math.isnan(self.bound_value):
+            raise ConsistencyError("bound_value is nan")
         recomputed = self.recompute_from_breakdown()
         if abs(recomputed - self.bound_value) > 1e-12 * max(1.0, abs(self.bound_value)):
             raise ConsistencyError(
@@ -110,10 +115,17 @@ class BoundReport:
             raise ConsistencyError("clipped_value must be min(1, bound_value)")
 
     def recompute_from_breakdown(self) -> float:
-        bracket = sum(self.term_breakdown[key] for key in _BRACKET_KEYS)
-        return self.term_breakdown["prefactor"] * bracket + self.term_breakdown.get(
-            "epsilon_term", 0.0
-        )
+        return _bound_value(self.term_breakdown)
+
+
+def _bound_value(breakdown: dict[str, float]) -> float:
+    """prefactor * (sum of the bracket terms) + epsilon term.  A zero
+    prefactor makes the product 0, also where a bracket term overflows to
+    inf (alpha == beta at rates whose constants overflow)."""
+    prefactor = breakdown["prefactor"]
+    bracket = sum(breakdown[key] for key in _BRACKET_KEYS)
+    product = prefactor * bracket if prefactor != 0.0 else 0.0
+    return product + breakdown.get("epsilon_term", 0.0)
 
 
 def _bound(params: ChainParams, n: int, regime: Regime, fit: NbFit | BinFit | None) -> BoundReport:
@@ -140,10 +152,9 @@ def _bound(params: ChainParams, n: int, regime: Regime, fit: NbFit | BinFit | No
         "bracket_linear": 4.0 * consts.k2 / n,
         "bracket_geometric": base ** (n // 4),
     }
-    value = prefactor * sum(breakdown[key] for key in _BRACKET_KEYS)
     if epsilon_term is not None:
         breakdown["epsilon_term"] = epsilon_term
-        value += epsilon_term
+    value = _bound_value(breakdown)
     return BoundReport(regime, value, min(1.0, value), breakdown)
 
 

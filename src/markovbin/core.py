@@ -10,6 +10,7 @@ Everything in this module is deterministic; Monte Carlo lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -367,7 +368,10 @@ def moments_closed_form(params: ChainParams, n: int) -> MomentSummary:
     n*p*p0 + 2*p*p0*sum_{k=1}^{n-1} (n - k)*(beta - alpha)^k instead, with
     1 - (beta - alpha) evaluated as (1 - beta) + alpha; that happens only
     for beta > alpha and n*(1 - beta + alpha) below about 0.03, where the
-    sum's series converges at once.  ``p`` comes from ``stationary_law``.
+    sum's series converges at once.  For beta < alpha the cancellation comes
+    from beta - alpha near -1 (alpha near 1, beta near 0), and the sum is
+    taken in its closed form n*p*p0*s/(1 - delta) - a1*(1 - delta^n) with
+    s = 1 + delta = (1 - alpha) + beta.  ``p`` comes from ``stationary_law``.
     Inputs that stay well-conditioned keep the closed form's bits.
     """
     if n < 1:
@@ -381,11 +385,19 @@ def moments_closed_form(params: ChainParams, n: int) -> MomentSummary:
     a1 = a0 / denom
     variance = n * p * (1.0 - p) + n * a0 - a1 + a1 * delta**n
     cancelled = n * abs(a0) + abs(a1) * (1.0 + abs(delta) ** n)
-    if delta > 0.0 and not cancelled * _EPS <= _MOMENT_RTOL * variance:
-        denom = (1.0 - b) + a
-        a0 = 2.0 * a * (1.0 - b) * delta / denom**3
-        a1 = a0 / denom
-        variance = n * p * p0 + 2.0 * p * p0 * _lag_weight_sum(n, denom)
+    if not cancelled * _EPS <= _MOMENT_RTOL * variance:
+        if delta > 0.0:
+            denom = (1.0 - b) + a
+            a0 = 2.0 * a * (1.0 - b) * delta / denom**3
+            a1 = a0 / denom
+            variance = n * p * p0 + 2.0 * p * p0 * _lag_weight_sum(n, denom)
+        else:
+            # delta < 0 (nothing cancels at 0): the covariance sum in closed
+            # form, with s = 1 + delta, whose two terms are non-negative
+            s = (1.0 - a) + b
+            # for even n, delta^n = (1 - s)^n and 1 - delta^n would cancel
+            decay = -math.expm1(n * math.log1p(-s)) if n % 2 == 0 else 1.0 - delta**n
+            variance = n * p * p0 * s / denom - a1 * decay
     return MomentSummary(mean=n * p, variance=variance, a0=a0, a1=a1)
 
 

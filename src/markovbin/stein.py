@@ -1,18 +1,22 @@
 """Stein-equation solvers for the matched reference laws, and the
 conditional-law comparison checks the error bounds rest on.
 
-The negative binomial operator is Bg(j) = (a + b*j) g(j+1) - j g(j) with
-a = r(1-q) and b = 1-q; b = 0 gives the Poisson operator.  The binomial
-operator is Bg(j) = theta (m-j) g(j+1) - (1-theta) j g(j).  For an indicator
-test set A, the solved equation is Bg = 1_A - P(A) with P the target law.
+Both operators are Bg(j) = up(j) g(j+1) - down(j) g(j), and for an indicator
+test set A the solved equation is Bg = 1_A - P(A) with P the target law.
+They differ only in their coefficients:
+
+- negative binomial: up(j) = a + b*j and down(j) = j, with a = r(1-q) and
+  b = 1-q; b = 0 gives the Poisson operator;
+- binomial: up(j) = theta (m-j) and down(j) = (1-theta) j.
 
 Solutions are tabulated with g(0) = 0 (the operator never reads g(0); fixing
-it makes instances reproducible).  The defining forward recurrence pins g(1)
-from the j = 0 equation and is run below the target mean, where it damps
-rounding noise; above the mean it amplifies noise geometrically, so the tail
-is instead swept backward from a closed-form anchor (the j = m equation for
-the binomial, the constant-tail identity at the truncation point for the
-negative binomial).  Residuals are checked, not trusted.
+it makes instances reproducible) by one recurrence, ``_recurrence``.  It
+pins g(1) from the j = 0 equation and steps forward below the target mean,
+where that damps rounding noise; above the mean forward steps amplify noise
+geometrically, so the tail is instead swept backward from an anchor (g = 0
+past m for the binomial, whose j = m step then solves the j = m equation;
+the closed constant-tail value at the truncation point for the negative
+binomial).  Residuals are checked, not trusted.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ __all__ = [
     "verify_lemma24",
 ]
 
-_STEIN_TOL = 1e-9  # slack on the Stein-solution bounds, for solver rounding
+_STEIN_TOL = 1e-9  # the one Stein tolerance (residuals, bound slack), for solver rounding
 _LEMMA24_TOL = 1e-12  # slack on the Lemma 2.4 inequalities, for exact-law rounding
 _BINOMIAL_EXTEND = 64  # how far past m binomial Stein solutions are tabulated
 # Doubles of segment laws one round of ``_lemma24_reports`` keeps per start
@@ -148,6 +152,23 @@ def _solutions(g: np.ndarray, residual: np.ndarray, delta: np.ndarray) -> list[S
     ]
 
 
+def _recurrence(
+    up: np.ndarray, down: np.ndarray, f: np.ndarray, seam: int, g: np.ndarray
+) -> None:
+    """Solve up(j) g(j+1) - down(j) g(j) = f(j) in place for the columns of
+    ``g``: forward from g(0) for j < seam, and backward for j from
+    len(up) - 1 down to seam + 1, from the anchor already in row len(up)."""
+    for j in range(seam):
+        g[j + 1] = (down[j] * g[j] + f[j]) / up[j]
+    for j in range(up.size - 1, seam, -1):
+        g[j] = (up[j] * g[j + 1] - f[j]) / down[j]
+
+
+def _action(up: np.ndarray, down: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Bg(j) = up(j) g(j+1) - down(j) g(j) for j < len(up), per column of g."""
+    return up[:, None] * g[1 : up.size + 1] - down[:, None] * g[: up.size]
+
+
 def solve_nb_stein(setup: NbSteinSetup, subset: Iterable[int]) -> SteinSolution:
     """Solve Bg = 1_A - P(A) for the negative binomial (or Poisson) target.
 
@@ -162,30 +183,23 @@ def _solve_nb(setup: NbSteinSetup, subsets: Sequence[Iterable[int]]) -> list[Ste
     """``solve_nb_stein`` for many subsets at once: the recurrences run over
     a (j, subset) array, each entry by the operations a lone subset's would
     take, so every solution is the one its subset gives alone."""
-    a, b = setup.a, setup.b
     pi = setup.target.mass
     top = pi.size - 1
     if top < 1:
         raise ValueError("target must be tabulated past 0 to solve the equation")
     ind, p_set = _subset_columns(subsets, top, pi)
     f = ind - p_set
-
-    g = np.zeros((top + 2, p_set.size))
-    seam = min(max(int(setup.mean), 1), top)
-    for j in range(seam):
-        g[j + 1] = (j * g[j] + f[j]) / (a + b * j)
+    j = np.arange(top + 1, dtype=float)
+    up, down = setup.a + setup.b * j, j
 
     # Beyond the truncation point the test function is the constant -P(A),
     # which gives the bounded solution the closed tail value
     # g(top+1) = P(A) * P(>top) / ((top+1) * pi(top+1)).
-    pi_next = pi[top] * (a + b * top) / (top + 1)
+    g = np.zeros((top + 2, p_set.size))
+    pi_next = pi[top] * up[top] / (top + 1)
     g[top + 1] = p_set * setup.target.tail / ((top + 1) * pi_next) if pi_next > 0.0 else 0.0
-    for j in range(top, seam, -1):
-        g[j] = ((a + b * j) * g[j + 1] - f[j]) / j
-
-    j = np.arange(top + 1, dtype=float)[:, None]
-    residual = (a + b * j) * g[1:] - j * g[:-1] - f
-    return _solutions(g, residual, np.diff(g[1:], axis=0))
+    _recurrence(up, down, f, min(max(int(setup.mean), 1), top), g)
+    return _solutions(g, _action(up, down, g) - f, np.diff(g[1:], axis=0))
 
 
 @dataclass(frozen=True)
@@ -218,38 +232,9 @@ def solve_binomial_stein(m: int, theta: float, subset: Iterable[int]) -> SteinSo
     the equation into an inequality.  The solution is tabulated up to
     m + _BINOMIAL_EXTEND (64) for the checks; ``subset`` may contain points
     up to there, but only its intersection with 0..m carries mass.  This is
-    the one-subset case of ``_solve_binomial``.
+    the one-subset case of ``_binomial_stein``.
     """
-    ind, p_set = _subset_columns([subset], m + _BINOMIAL_EXTEND, binomial_pmf(m, theta).mass)
-    return _solutions(*_solve_binomial(m, theta, ind, p_set))[0]
-
-
-def _solve_binomial(
-    m: int, theta: float, ind: np.ndarray, p_set: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``solve_binomial_stein`` for the subsets of ``_subset_columns`` over
-    0..m + _BINOMIAL_EXTEND: the solutions as the columns of g, with their
-    equation defects on 0..m-1 and their differences.  Each entry takes the
-    operations a lone subset's would."""
-    top = m + _BINOMIAL_EXTEND
-    f = ind - p_set
-
-    g = np.zeros((top + 1, p_set.size))
-    seam = min(max(int(theta * m), 0), m - 1)
-    for j in range(seam):
-        g[j + 1] = ((1.0 - theta) * j * g[j] + f[j]) / (theta * (m - j))
-
-    # The j = m equation reads -(1-theta)*m*g(m) = f(m) and anchors the
-    # backward sweep down to the seam.
-    g[m] = -f[m] / ((1.0 - theta) * m)
-    for j in range(m - 1, seam, -1):
-        g[j] = (theta * (m - j) * g[j + 1] - f[j]) / ((1.0 - theta) * j)
-
-    g[m + 1 :] = -(1.0 + theta * ind[m] - theta * p_set) / (m * theta * (1.0 - theta))
-
-    j = np.arange(m, dtype=float)[:, None]
-    residual = theta * (m - j) * g[1 : m + 1] - (1.0 - theta) * j * g[:m] - f[:m]
-    return g, residual, np.diff(g, axis=0)
+    return _binomial_stein(m, theta, binomial_pmf(m, theta).mass, [subset])[0][0]
 
 
 @dataclass(frozen=True)
@@ -273,18 +258,21 @@ class BinomialSteinReport:
 
 
 def check_binomial_lemma31(
-    solution: SteinSolution,
-    m: int,
-    theta: float,
-    subset: Iterable[int],
+    solution: SteinSolution, m: int, theta: float, subset: Iterable[int]
 ) -> BinomialSteinReport:
     """Check the one-sided equation, the difference norm bound
     1/(m*theta*(1-theta)), the exact boundary difference at j = m and the
-    vanishing differences past m.  This is the one-subset case of
-    ``_check_lemma31``."""
+    vanishing differences past m, all read off ``solution.g``."""
     g = solution.g[:, None]
     ind, p_set = _subset_columns([subset], g.shape[0] - 1, binomial_pmf(m, theta).mass)
-    return _check_lemma31(g, [solution.delta_sup], m, theta, ind, p_set)[0]
+    return _lemma31(g, m, theta, ind, p_set)[0][1]
+
+
+def _binomial_coefficients(m: int, theta: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """up(j) = theta (m-j) and down(j) = (1-theta) j of the binomial operator
+    for j = 0..rows-1."""
+    j = np.arange(rows, dtype=float)
+    return theta * (m - j), (1.0 - theta) * j
 
 
 def _binomial_stein(
@@ -292,62 +280,53 @@ def _binomial_stein(
 ) -> list[tuple[SteinSolution, BinomialSteinReport]]:
     """``solve_binomial_stein`` and ``check_binomial_lemma31`` for many
     subsets of one target, whose mass ``pi`` of Bi(m, theta) is already
-    tabulated; the subsets are normalised once for both."""
+    tabulated; the subsets are normalised once for both.  Each entry takes
+    the operations a lone subset's would."""
     ind, p_set = _subset_columns(subsets, m + _BINOMIAL_EXTEND, pi)
-    g, residual, delta = _solve_binomial(m, theta, ind, p_set)
-    solutions = _solutions(g, residual, delta)
-    reports = _check_lemma31(g, [s.delta_sup for s in solutions], m, theta, ind, p_set)
-    return list(zip(solutions, reports))
+    g = np.zeros((m + _BINOMIAL_EXTEND + 1, p_set.size))
+    # g = 0 past m anchors the backward sweep, whose j = m step then solves
+    # the j = m equation -(1-theta)*m*g(m) = f(m); the extension comes after
+    seam = min(max(int(theta * m), 0), m - 1)
+    _recurrence(*_binomial_coefficients(m, theta, m + 1), ind - p_set, seam, g)
+    g[m + 1 :] = -(1.0 + theta * ind[m] - theta * p_set) / (m * theta * (1.0 - theta))
+    return _lemma31(g, m, theta, ind, p_set)
 
 
-def _check_lemma31(
-    g: np.ndarray,
-    delta_sup: Sequence[float],
-    m: int,
-    theta: float,
-    ind: np.ndarray,
-    p_set: np.ndarray,
-) -> list[BinomialSteinReport]:
-    """``check_binomial_lemma31`` for the solutions in the columns of ``g``,
-    with their difference norms ``delta_sup``, and the subsets of
-    ``_subset_columns`` over the rows of g."""
+def _lemma31(
+    g: np.ndarray, m: int, theta: float, ind: np.ndarray, p_set: np.ndarray
+) -> list[tuple[SteinSolution, BinomialSteinReport]]:
+    """The solutions in the columns of ``g`` and their Lemma 3.1 reports, for
+    the subsets of ``_subset_columns`` over the rows of g.  One defect
+    Bg - (1_A - P(A)) over the tabulated range serves both: its first m rows
+    are the equation's residual, and its minimum is the one-sided slack."""
     top = g.shape[0] - 1
-    f = ind[:top] - p_set
-
-    j = np.arange(top, dtype=float)[:, None]
-    action = theta * (m - j) * g[1:] - (1.0 - theta) * j * g[:top]
-    slack = (action - f).min(axis=0)
-
-    bound = 1.0 / (m * theta * (1.0 - theta))
+    defect = _action(*_binomial_coefficients(m, theta, top), g) - (ind[:top] - p_set)
     delta = np.diff(g, axis=0)
-    delta_at_m_error = np.abs(np.abs(delta[m]) - bound)
-    tail_delta_max = np.abs(delta[m + 1 :]).max(axis=0) if top > m + 1 else np.zeros(p_set.size)
+    solutions = _solutions(g, defect[:m], delta)
+    bound = 1.0 / (m * theta * (1.0 - theta))
+    at_m = np.abs(np.abs(delta[m]) - bound)
+    tail = np.abs(delta[m + 1 :]).max(axis=0) if top > m + 1 else np.zeros(p_set.size)
     tail_slope = -g[-1]  # Bg grows by (j+1) - j times this past m
-
     columns = zip(
-        delta_sup,
-        slack.tolist(),
-        delta_at_m_error.tolist(),
-        tail_delta_max.tolist(),
-        tail_slope.tolist(),
+        solutions, defect.min(axis=0).tolist(), at_m.tolist(), tail.tolist(), tail_slope.tolist()
     )
     return [
-        BinomialSteinReport(
+        (solution, BinomialSteinReport(
             ok=(
                 min_slack >= -_STEIN_TOL
-                and sup <= bound + _STEIN_TOL
+                and solution.delta_sup <= bound + _STEIN_TOL
                 and at_m_error <= _STEIN_TOL
                 and tail_max == 0.0
                 and slope >= 0.0
             ),
             inequality_min_slack=min_slack,
-            delta_sup=sup,
+            delta_sup=solution.delta_sup,
             delta_bound=bound,
             delta_at_m_error=at_m_error,
             tail_delta_max=tail_max,
             tail_slope=slope,
-        )
-        for sup, min_slack, at_m_error, tail_max, slope in columns
+        ))
+        for solution, min_slack, at_m_error, tail_max, slope in columns
     ]
 
 

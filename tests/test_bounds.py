@@ -42,6 +42,11 @@ class TestBoundConstants:
         assert consts.sigma1_sq == math.inf and consts.k2 == math.inf
         assert consts.mu1 == pytest.approx(1e300, rel=1e-14)
 
+    def test_mu1_overflow(self):
+        # below alpha ~ 5.6e-309 mu1 overflows too; K2 ~ 90/alpha is inf, not inf/inf
+        consts = bound_constants(ChainParams(1e-310, 0.5))
+        assert consts.mu1 == math.inf and consts.k2 == math.inf
+
     def test_second_point(self):
         consts = bound_constants(ChainParams(0.3, 0.6))
         assert consts.mu1 == pytest.approx(7 / 3, rel=1e-14)
@@ -110,6 +115,16 @@ class TestBoundNb:
                 - consts.c0 * params.beta ** (n // 4)
             )
             assert n * residual == pytest.approx(4 * consts.c0 * consts.k2, rel=1e-12)
+
+    @pytest.mark.parametrize("rate", [1e-300, 1e-158])
+    def test_zero_prefactor_with_infinite_brackets(self, rate):
+        # alpha == beta makes C0 vanish while alpha**2 underflows and the
+        # brackets overflow; 0 * inf is nan, but the bound is exactly 0
+        report = bound_nb(ChainParams(rate, rate), 3)
+        terms = report.term_breakdown
+        assert terms["prefactor"] == 0.0 and terms["bracket_linear"] == math.inf
+        assert (report.bound_value, report.clipped_value) == (0.0, 0.0)
+        assert report.recompute_from_breakdown() == 0.0
 
 
 class TestBoundBinomial:
@@ -181,5 +196,21 @@ class TestBoundReport:
                     "bracket_sqrt": 0.5,
                     "bracket_linear": 0.25,
                     "bracket_geometric": 0.1,
+                },
+            )
+
+    def test_nan_rejected(self):
+        # every comparison with nan is False, so nan passed the checks above
+        # (min(1, nan) is 1); the breakdown's bound is 0
+        with pytest.raises(ConsistencyError, match="nan"):
+            BoundReport(
+                regime=Regime.EQUIDISPERSED,
+                bound_value=math.nan,
+                clipped_value=1.0,
+                term_breakdown={
+                    "prefactor": 0.0,
+                    "bracket_sqrt": math.inf,
+                    "bracket_linear": math.inf,
+                    "bracket_geometric": 1.0,
                 },
             )

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from markovbin import (
     MAX_EXACT_N,
@@ -88,11 +90,32 @@ class TestFitCommand:
 
     def test_underflowing_alpha_squared_reported_missing(self, capsys):
         # alpha**2 underflows to 0 at alpha = 1e-300: the bound constants
-        # become inf instead of dividing by zero
-        assert run(["fit", "--alpha", "1e-300", "--beta", "1e-300", "--n", "1", "--json"]) == 0
+        # become inf instead of dividing by zero (at alpha == beta the zero
+        # prefactor makes the bound 0 instead, as the next test checks)
+        assert run(["fit", "--alpha", "1e-300", "--beta", "1e-12", "--n", "1", "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["status"] == "ok"
         assert record["bound"] is None and record["bound_clipped"] == 1.0
+
+    @pytest.mark.parametrize("rate", ["1e-300", "1e-158"])
+    def test_zero_prefactor_bound_is_zero(self, rate, capsys):
+        # alpha == beta: the prefactor is 0 and the brackets are inf, which
+        # used to make the bound nan, reported missing with bound_clipped 1
+        argv = ["fit", "--alpha", rate, "--beta", rate, "--n", "3", "--exact", "--json"]
+        assert run(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "ok"
+        assert (record["bound"], record["bound_clipped"]) == (0.0, 0.0)
+        assert record["tv_exact"] <= record["tail_mass"] + 1e-12
+
+    def test_near_alternating_chain(self, capsys):
+        # alpha -> 1, beta -> 0: the closed-form variance cancelled to
+        # -2.8e-17 and MomentSummary raised ValueError
+        argv = ["fit", "--alpha", "0.9999999999999997", "--beta", "1e-158", "--n", "10", "--json"]
+        assert run(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "ok" and record["regime"] == "underdispersed"
+        assert record["variance"] == pytest.approx(8.32667268468867e-16, rel=1e-14)
 
     def test_underflowing_mean_squared_keeps_r_positive(self, capsys):
         # (E S)^2 underflows to 0 at alpha = 1e-300; r is formed without it
@@ -101,6 +124,45 @@ class TestFitCommand:
         assert record["status"] == "ok" and record["regime"] == "overdispersed"
         assert record["r"] == pytest.approx(2.25e-288, rel=1e-4)
         assert record["bound"] is None and record["bound_clipped"] == 1.0
+
+
+# Rates for the contract: log-uniform down to 1e-300, and within 1e-9 of 1,
+# on the grid 1 - k*2^-53 and uniformly.
+_RATES = st.one_of(
+    st.floats(-300.0, -1.0).map(lambda e: 10.0**e),
+    st.integers(1, 9_000_000).map(lambda k: 1.0 - k * 2.0**-53),
+    st.floats(1.0 - 1e-9, 1.0, exclude_max=True),
+)
+_CLOSE_PAIRS = (
+    st.tuples(_RATES, st.floats(-1e-12, 1e-12))
+    .map(lambda t: (t[0], t[0] + t[1]))
+    .filter(lambda pair: 0.0 < pair[1] < 1.0)
+)
+# (n, with the exact law): exact laws up to n = 300, none above
+_SIZES = st.one_of(
+    st.tuples(st.integers(1, 4), st.booleans()),
+    st.tuples(st.integers(5, 300), st.just(True)),
+    st.tuples(st.integers(1, MAX_EXACT_N), st.just(False)),
+)
+
+
+class TestContract:
+    """Every 0 < alpha, beta < 1 and 1 <= n <= MAX_EXACT_N gives an ``ok`` or
+    ``degenerate_fit`` row that serialises as strict JSON, and the exact TV
+    lies within the clipped bound plus the reference's tail mass."""
+
+    @given(st.one_of(st.tuples(_RATES, _RATES), _CLOSE_PAIRS), _SIZES)
+    @example((0.9999999999999997, 1e-158), (10, True))  # variance cancelled below 0
+    @example((1e-300, 1e-300), (3, True))  # bound was nan
+    @example((1e-310, 1e-12), (3, True))  # K2 is inf/inf unless taken as inf
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    def test_every_point_ends_in_a_row(self, pair, size):
+        (alpha, beta), (n, exact) = pair, size
+        row = evaluate_point(ChainParams(alpha, beta), n, exact=exact)
+        assert row["status"] in ("ok", "degenerate_fit")
+        json.dumps(row, allow_nan=False)
+        if row["tv_exact"] is not None:
+            assert row["tv_exact"] <= row["bound_clipped"] + row["tail_mass"] + 1e-12
 
 
 class TestSweepCommand:
@@ -192,7 +254,9 @@ class TestSweepCommand:
         with open(out) as handle:
             rows = list(csv.DictReader(handle))
         assert [row["status"] for row in rows] == ["ok"] * 4
-        assert all((row["bound"], row["bound_clipped"]) == ("", "1") for row in rows)
+        # alpha == beta rows first: their zero prefactor makes the bound 0
+        bounds = [(row["bound"], row["bound_clipped"]) for row in rows]
+        assert bounds == [("0", "0")] * 2 + [("", "1")] * 2
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):

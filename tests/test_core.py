@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from markovbin import (
 )
 
 from markovbin.cli import evaluate_point
-from markovbin.core import PMF_TOL, _dp_pass
+from markovbin.core import _MOMENT_RTOL, PMF_TOL, _dp_pass
 from markovbin.fit import DegenerateFitError, RegimeError
 from oracles import enumerate_pmf, full_dp_pmf, mc_state1_frequency
 
@@ -337,6 +339,21 @@ class TestMoments:
         mean, variance = moments_from_pmf(exact_pmf(params, n))
         assert summary.mean == pytest.approx(mean, rel=1e-9)
         assert summary.variance == pytest.approx(variance, rel=1e-9)
+
+    @pytest.mark.parametrize("beta", [1e-300, 1e-158, 1e-16])
+    @pytest.mark.parametrize("alpha", [1 - 2**-53, 0.9999999999999997, 1 - 1e-12])
+    def test_near_alternating_chain(self, alpha, beta):
+        # alpha -> 1, beta -> 0: beta - alpha is near -1 and the closed form
+        # cancels n*p*(1-p) against n*a0; at (1 - 3e-16, 1e-158, n = 10) it
+        # gave -2.8e-17, which MomentSummary rejects.  Checked against the
+        # covariance sum in exact rational arithmetic.
+        a, b = Fraction(alpha), Fraction(beta)
+        d = b - a
+        p, p0 = a / (1 - d), (1 - b) / (1 - d)
+        for n in (1, 2, 10, 11, 40):
+            exact = n * p * p0 + 2 * p * p0 * sum((n - k) * d**k for k in range(1, n))
+            variance = moments_closed_form(ChainParams(alpha, beta), n).variance
+            assert abs(Fraction(variance) - exact) <= _MOMENT_RTOL * exact, n
 
     def test_near_frozen_point_is_overdispersed(self):
         row = evaluate_point(ChainParams(1e-12, 1.0 - 1e-12), 10)

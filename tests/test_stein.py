@@ -9,6 +9,7 @@ from markovbin import (
     check_binomial_lemma31,
     check_nb_delta_bound,
     fit_binomial,
+    fit_negative_binomial,
     moments_closed_form,
     solve_binomial_stein,
     solve_nb_stein,
@@ -44,6 +45,11 @@ class TestNbSteinSetup:
     def test_poisson_setup(self):
         setup = NbSteinSetup.poisson(4.0)
         assert setup.a == 4.0 and setup.b == 0.0
+
+    def test_equidispersed_fit_takes_poisson_limit(self):
+        fit = fit_negative_binomial(ChainParams(1e-13, 1e-13), 10)
+        setup = NbSteinSetup.from_chain(ChainParams(1e-13, 1e-13), 10)
+        assert fit.poisson_limit and (setup.a, setup.b) == (fit.lam, 0.0)
 
     def test_rejects_bad_coefficients(self):
         from markovbin import poisson_pmf
@@ -208,6 +214,8 @@ class TestBatchedSolves:
         "nb-0.1-0.35-12": lambda: NbSteinSetup.from_chain(ChainParams(0.1, 0.35), 12),
         "nb-0.3-0.6-250": lambda: NbSteinSetup.from_chain(ChainParams(0.3, 0.6), 250),
         "poisson-3.7": lambda: NbSteinSetup.poisson(3.7),
+        # an equidispersed fit: the Poisson-limit branch of _nb_setup
+        "poisson-limit-1e-13-10": lambda: NbSteinSetup.from_chain(ChainParams(1e-13, 1e-13), 10),
     }
 
     @pytest.mark.parametrize("name", list(NB_SETUPS))
