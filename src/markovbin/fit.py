@@ -4,10 +4,12 @@ Overdispersed sums (Var S >= E S) are matched by a negative binomial with
 r = (E S)^2 / (Var S - E S) and q = E S / Var S, degenerating to a Poisson
 with mean E S at equidispersion.  Underdispersed sums are matched by a
 binomial Bi(m, theta) with m = floor(m_tilde), m_tilde = (E S)^2 /
-(E S - Var S) and theta = E S / m.  Reference mass functions are evaluated
-through scipy.stats (log-gamma based, stable at large parameters) and carry
-their truncation tail mass; scipy.stats is imported on the first such call,
-since importing it takes most of the start-up time of the package.
+(E S - Var S) and theta = E S / m.  Reference mass functions carry their
+truncation tail mass and are evaluated on the scipy.special ufuncs that
+scipy.stats calls for the same laws (Boost for the negative binomial and
+binomial, log-gamma for the Poisson), so they equal scipy.stats bit for bit.
+scipy.stats itself is never imported, and scipy.special only on the first
+such call: importing either takes longer than the rest of the package.
 
 One private path serves every caller: the moments pick the regime
 (``_regime``), the regime the fit (``_fit``), and the fit the reference law
@@ -17,6 +19,7 @@ holding the moments passes them down.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ChainParams, MomentSummary, Pmf, moments_closed_form, stationary_law
+from .core import PMF_TOL, ChainParams, MomentSummary, Pmf, moments_closed_form, stationary_law
 
 __all__ = [
     "Regime",
@@ -61,7 +64,7 @@ class RegimeError(ValueError):
 
 class DegenerateFitError(ValueError):
     """Fit collapsed: flooring m_tilde drove the binomial theta to 1 or
-    beyond, or the negative binomial r underflowed to 0."""
+    beyond, or the negative binomial r underflowed below the normal range."""
 
 
 class ConsistencyError(RuntimeError):
@@ -142,8 +145,10 @@ def _nb_fit_from_moments(mean: float, variance: float) -> NbFit:
         # the square left the normal range and lost its digits, all of them
         # at alpha = 1e-300, so divide before multiplying
         r = mean * (mean / (variance - mean))
-    if r == 0.0:
-        raise DegenerateFitError(f"r underflows to 0 at E S={mean!r}")
+    if r < sys.float_info.min:
+        # a subnormal r has no reference law: q**r rounds to 1, and the
+        # kernels return nan or 0 for every mass
+        raise DegenerateFitError(f"r={r!r} underflows below the normal range at E S={mean!r}")
     q = mean / variance
     return NbFit(r=r, q=q, poisson_limit=False, lam=mean)
 
@@ -222,19 +227,56 @@ def fit_binomial(params: ChainParams, n: int) -> BinFit:
     return _fit(params, n, moments, regime)
 
 
-def _tabulated(family: str, args: tuple, mean: float, std: float, trunc: int | None) -> Pmf:
-    """Mass of ``scipy.stats.<family>(*args)`` on {0..trunc} with its tail
-    mass; trunc defaults to the 1 - TRUNCATION_MASS quantile, capped at
-    10*(mean + 10*std)."""
-    from scipy import stats
+@functools.cache
+def _kernels() -> dict:
+    """Mass, survival and quantile functions of each tabulated family: the
+    ``scipy.special`` ufuncs that ``scipy.stats`` evaluates for the same laws.
 
-    law = getattr(stats, family)
+    ``scipy.special`` is imported here, on the first call, because importing
+    it takes longer than the rest of the package; ``scipy.stats`` is never
+    imported.
+    """
+    from scipy.special import _ufuncs, gammaln, pdtr, pdtrc, pdtrik, xlogy
+
+    def nbinom_ppf(p, r, q):
+        with np.errstate(over="ignore"):  # as scipy.stats does, see scipy gh-17432
+            return _ufuncs._nbinom_ppf(p, r, q)
+
+    def poisson_pmf(k, lam):
+        return np.exp(xlogy(k, lam) - gammaln(k + 1) - lam)
+
+    def poisson_ppf(p, lam):
+        # pdtrik inverts the continuous extension; step back where one less
+        # already reaches p
+        upper = np.ceil(pdtrik(p, lam))
+        lower = np.maximum(upper - 1.0, 0.0)
+        return np.where(pdtr(lower, lam) >= p, lower, upper)
+
+    return {
+        "nbinom": (_ufuncs._nbinom_pmf, _ufuncs._nbinom_sf, nbinom_ppf),
+        "poisson": (poisson_pmf, pdtrc, poisson_ppf),
+        "binom": (_ufuncs._binom_pmf,),
+    }
+
+
+def _tabulated(
+    family: str, args: tuple, mean: float, std: float, trunc: int | None, tol: float = PMF_TOL
+) -> Pmf:
+    """Mass of the ``family`` law with parameters ``args`` on {0..trunc},
+    with its tail mass; trunc defaults to the 1 - TRUNCATION_MASS quantile,
+    capped at 10*(mean + 10*std).
+
+    Masses and tail are clipped to [0, 1], as ``scipy.stats`` clips them, so
+    the values equal ``scipy.stats.<family>.pmf`` and ``.sf`` bit for bit.
+    """
+    pmf, sf, ppf = _kernels()[family]
     if trunc is None:
         cap = int(math.ceil(10.0 * (mean + 10.0 * std))) + 1
-        trunc = max(1, min(int(law.ppf(1.0 - TRUNCATION_MASS, *args)), cap))
+        trunc = max(1, min(int(ppf(1.0 - TRUNCATION_MASS, *args)), cap))
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
-    return Pmf(law.pmf(np.arange(trunc + 1), *args), tail=float(law.sf(trunc, *args)))
+    mass = np.clip(pmf(np.arange(trunc + 1), *args), 0.0, 1.0)
+    return Pmf(mass, tail=float(np.clip(sf(trunc, *args), 0.0, 1.0)), tol=tol)
 
 
 def nb_pmf(r: float, q: float, trunc: int | None = None) -> Pmf:
@@ -242,10 +284,11 @@ def nb_pmf(r: float, q: float, trunc: int | None = None) -> Pmf:
 
     N defaults to the point where the cumulative mass reaches
     1 - 1e-12, capped at 10*(mean + 10*std).  q = 1 gives the point mass
-    at 0.
+    at 0.  A subnormal r raises ValueError: the kernels return nan or 0 for
+    every mass there.
     """
-    if not r > 0.0:
-        raise ValueError(f"r must be positive, got {r!r}")
+    if not r >= sys.float_info.min:
+        raise ValueError(f"r must be positive and not subnormal, got {r!r}")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must lie in (0, 1], got {q!r}")
     if q == 1.0:
@@ -264,11 +307,28 @@ def binomial_pmf(m: int, theta: float, trunc: int | None = None) -> Pmf:
         trunc = m
     if trunc < m:
         raise ValueError(f"truncation {trunc} cuts the support 0..{m}")
-    from scipy import stats
-
+    (pmf,) = _kernels()["binom"]
     mass = np.zeros(trunc + 1)
-    mass[: m + 1] = stats.binom.pmf(np.arange(m + 1), m, theta)
+    mass[: m + 1] = np.clip(pmf(np.arange(m + 1), m, theta), 0.0, 1.0)
     return Pmf(mass)
+
+
+def _poisson_tol(lam: float) -> float:
+    """Normalization tolerance for a tabulated Poisson(lam) law.
+
+    Mass k is exp(t_k) with t_k = k log(lam) - log(k!) - lam.  Its terms
+    have sizes up to k |log lam|, log k! <= k log k and lam, each carried
+    with at most a few roundings, so t_k is off by at most 4u times their sum
+    (u = eps/2), and an absolute error in t_k is that relative error in the
+    mass.  Weighted by the masses, E K |log lam| = lam |log lam| and
+    E K log K <= lam log(lam + 1) (Jensen's inequality on the size-biased
+    law), so mass + tail is off by at most 2 eps lam (|log lam| +
+    log(lam + 1) + 1), plus the few roundings of the sum that ``PMF_TOL``
+    covers.  The rounding of log(lam) shifts every t_k the same way, which is
+    why a fixed tolerance fails at large lam (1.4e-11 off at lam = 1e4).
+    """
+    drift = lam * (abs(math.log(lam)) + math.log1p(lam) + 1.0)
+    return max(PMF_TOL, 2.0 * sys.float_info.epsilon * drift)
 
 
 def poisson_pmf(lam: float, trunc: int | None = None) -> Pmf:
@@ -278,7 +338,7 @@ def poisson_pmf(lam: float, trunc: int | None = None) -> Pmf:
         raise ValueError(f"lam must be non-negative, got {lam!r}")
     if lam == 0.0:
         return Pmf(np.ones(1))
-    return _tabulated("poisson", (lam,), lam, math.sqrt(lam), trunc)
+    return _tabulated("poisson", (lam,), lam, math.sqrt(lam), trunc, _poisson_tol(lam))
 
 
 def _reference(fit: NbFit | BinFit) -> Pmf:

@@ -126,10 +126,10 @@ class TestFitCommand:
         assert record["bound"] is None and record["bound_clipped"] == 1.0
 
 
-# Rates for the contract: log-uniform down to 1e-300, and within 1e-9 of 1,
-# on the grid 1 - k*2^-53 and uniformly.
+# Rates for the contract: log-uniform down to 5e-324, the smallest subnormal,
+# and within 1e-9 of 1, on the grid 1 - k*2^-53 and uniformly.
 _RATES = st.one_of(
-    st.floats(-300.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(math.log10(5e-324), -1.0).map(lambda e: 10.0**e),
     st.integers(1, 9_000_000).map(lambda k: 1.0 - k * 2.0**-53),
     st.floats(1.0 - 1e-9, 1.0, exclude_max=True),
 )
@@ -155,6 +155,8 @@ class TestContract:
     @example((0.9999999999999997, 1e-158), (10, True))  # variance cancelled below 0
     @example((1e-300, 1e-300), (3, True))  # bound was nan
     @example((1e-310, 1e-12), (3, True))  # K2 is inf/inf unless taken as inf
+    @example((1e-320, 0.5), (2, True))  # subnormal r: the kernel's pmf(0) is nan
+    @example((3e-309, 0.5), (3, True))  # subnormal r: every mass and the tail are 0
     @settings(derandomize=True, max_examples=500, deadline=None)
     def test_every_point_ends_in_a_row(self, pair, size):
         (alpha, beta), (n, exact) = pair, size
@@ -322,23 +324,6 @@ class TestVerifyCommand:
         for i in {min(sup, key=sup.get), min(probe, key=probe.get), 1, n}:
             assert reports[i] == verify_lemma24(params, n, i)
 
-    def test_verify_lemma24_leaves_scipy_stats_unimported(self):
-        import markovbin
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(markovbin.__file__)))
-        code = (
-            "import sys, markovbin\n"
-            "from markovbin.cli import main\n"
-            "main(['verify', 'lemma24', '--alpha', '0.3', '--beta', '0.6', '--n', '20'])\n"
-            "print('scipy.stats' in sys.modules)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert "suite lemma24: PASS" in result.stdout
-        assert result.stdout.splitlines()[-1] == "False"
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -395,6 +380,42 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as excinfo:
             run(["verify", "lemma21", "--alpha", "0.3", "--beta", "0.6"])
         assert excinfo.value.code == 2
+
+
+class TestScipyStatsUnimported:
+    """No command imports scipy.stats: importing it takes longer than a short
+    command does without it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--alpha", "0.1", "--beta", "0.45", "--n", "100", "--exact"],
+            ["sweep", "--alphas", "0.1", "0.8", "--betas", "0.45", "--ns", "12",
+             "--checks", "bounds", "stein", "coupling", "lemma21", "lemma24",
+             "--output", os.devnull],
+            ["verify", "stein-nb", "--alpha", "0.1", "--beta", "0.45", "--n", "100"],
+            ["verify", "stein-binomial", "--alpha", "0.8", "--beta", "0.35", "--n", "100"],
+            ["verify", "bounds", "--alpha", "0.1", "--beta", "0.45", "--n", "100"],
+            ["verify", "lemma24", "--alpha", "0.3", "--beta", "0.6", "--n", "20"],
+        ],
+        ids=["fit", "sweep", "verify-stein-nb", "verify-stein-binomial", "verify-bounds",
+             "verify-lemma24"],
+    )
+    def test_command(self, argv):
+        import markovbin
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(markovbin.__file__)))
+        code = (
+            "import sys\n"
+            "from markovbin.cli import main\n"
+            f"status = main({argv!r})\n"
+            "print(status, 'scipy.stats' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.splitlines()[-1] == "0 False"
 
 
 class TestPastMaxExactN:

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from markovbin import (
     ChainParams,
@@ -24,7 +26,14 @@ from markovbin import (
 )
 from markovbin.cli import evaluate_point
 from markovbin.core import MomentSummary
-from markovbin.fit import ConsistencyError, _bin_fit_from_moments, _nb_fit_from_moments, _regime
+from markovbin.fit import (
+    TRUNCATION_MASS,
+    ConsistencyError,
+    _bin_fit_from_moments,
+    _nb_fit_from_moments,
+    _poisson_tol,
+    _regime,
+)
 
 from oracles import binom_pmf_reference, nb_pmf_reference, poisson_pmf_reference
 
@@ -98,11 +107,14 @@ class TestFitNegativeBinomial:
         assert nb_pmf(fit.r, fit.q).mass[0] == 1.0
 
     def test_underflowing_r_is_degenerate(self):
+        # an r that still underflows is a degenerate fit, to 0 or below the
+        # normal range, where no kernel tabulates the law
         with pytest.raises(DegenerateFitError):
             _nb_fit_from_moments(5e-324, 1e-300)
-        # an r that still underflows is a degenerate fit
         with pytest.raises(DegenerateFitError):
-            _nb_fit_from_moments(5e-324, 1e-300)
+            _nb_fit_from_moments(6e-320, 1.1e-319)
+        with pytest.raises(DegenerateFitError):
+            fit_negative_binomial(ChainParams(1e-320, 0.5), 2)
 
     def test_moment_match_of_fit(self):
         fit = fit_negative_binomial(ChainParams(0.1, 0.8), 100)
@@ -174,6 +186,8 @@ class TestNbPmf:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             nb_pmf(0.0, 0.5)
+        with pytest.raises(ValueError, match="subnormal"):
+            nb_pmf(8e-320, 0.5)
         with pytest.raises(ValueError):
             nb_pmf(2.0, 1.5)
 
@@ -233,6 +247,81 @@ class TestPoissonPmf:
         pmf = poisson_pmf(33.0)
         reference = poisson_pmf_reference(np.arange(len(pmf)), 33.0)
         assert np.max(np.abs(pmf.mass - reference) / reference) <= 1e-10
+
+    @pytest.mark.parametrize("lam", [4370.651008559057, 1e4, 1e5])
+    def test_large_lambda(self, lam):
+        # a fixed 1e-12 normalization tolerance rejected these laws
+        pmf = poisson_pmf(lam)
+        assert abs(float(pmf.mass.sum()) + pmf.tail - 1.0) <= _poisson_tol(lam)
+        spread = math.sqrt(lam)
+        for k in (int(lam - 3.0 * spread), int(lam), int(lam + 3.0 * spread)):
+            with mpmath.workdps(30):
+                mu = mpmath.mpf(lam)
+                exact = mpmath.exp(k * mpmath.log(mu) - mpmath.loggamma(k + 1) - mu)
+                rel = float(abs(mpmath.mpf(float(pmf.mass[k])) - exact) / exact)
+            # the per-mass bound that _poisson_tol averages over the law
+            bound = 2.0 * np.finfo(float).eps * (k * abs(math.log(lam)) + k * math.log(k) + lam)
+            assert rel <= bound, (k, rel, bound)
+
+
+def _stats_law(law, args, mean, std, trunc):
+    """What ``fit._tabulated`` tabulates, computed through scipy.stats."""
+    if trunc is None:
+        cap = int(math.ceil(10.0 * (mean + 10.0 * std))) + 1
+        trunc = max(1, min(int(law.ppf(1.0 - TRUNCATION_MASS, *args)), cap))
+    return law.pmf(np.arange(trunc + 1), *args), float(law.sf(trunc, *args))
+
+
+class TestScipyStatsIdentity:
+    """The reference laws are built on the scipy.special kernels that
+    scipy.stats calls; a scipy release that changes either side fails here.
+    Each case compares the mass bytes, the tail and, with no explicit
+    truncation, the truncation point."""
+
+    @staticmethod
+    def _truncation(rng, mean, std):
+        # the default, or an explicit point from below the mean to far past it
+        return None if rng.random() < 0.6 else max(0, int(mean + rng.uniform(-2.0, 12.0) * std))
+
+    def _assert_same(self, pmf, law, args, mean, std, trunc):
+        mass, tail = _stats_law(law, args, mean, std, trunc)
+        assert pmf.mass.tobytes() == mass.tobytes(), (args, trunc)
+        assert pmf.tail == tail, (args, trunc)
+
+    def test_negative_binomial(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(300):
+            r = 10.0 ** rng.uniform(-3.0, 5.0)
+            if rng.random() < 0.5:
+                q = 10.0 ** rng.uniform(-4.0, 0.0)
+            else:
+                q = 1.0 - 10.0 ** rng.uniform(-9.0, -1.0)
+            mean = r * (1.0 - q) / q
+            if mean > 2e5:
+                continue
+            std = math.sqrt(mean / q)
+            trunc = self._truncation(rng, mean, std)
+            self._assert_same(nb_pmf(r, q, trunc), stats.nbinom, (r, q), mean, std, trunc)
+
+    # pdtrik lands past the quantile here, and the ppf steps back by one
+    _STEP_BACK = [1.4142316033337135e-06, 178.71171607341614, 6963.469107547125]
+
+    def test_poisson(self):
+        rng = np.random.default_rng(20261020)
+        for lam in [*self._STEP_BACK, *(10.0 ** rng.uniform(-6.0, 5.0, 300))]:
+            trunc = None if lam in self._STEP_BACK else self._truncation(rng, lam, math.sqrt(lam))
+            std = math.sqrt(lam)
+            self._assert_same(poisson_pmf(lam, trunc), stats.poisson, (lam,), lam, std, trunc)
+
+    def test_binomial(self):
+        rng = np.random.default_rng(20261021)
+        for _ in range(200):
+            m = int(rng.integers(1, 5001))
+            theta = 10.0 ** rng.uniform(-12.0, 0.0) if rng.random() < 0.5 else rng.uniform(0.0, 1.0)
+            if not 0.0 < theta < 1.0:
+                continue
+            expected = stats.binom.pmf(np.arange(m + 1), m, theta)
+            assert binomial_pmf(m, theta).mass.tobytes() == expected.tobytes(), (m, theta)
 
 
 class TestMomentMatching:
