@@ -209,14 +209,14 @@ def _lemma22(step: float, n_max: int) -> _Check:
 def _lemma24(reports: dict[int, stein_mod.Lemma24Report]) -> _Check:
     """Lemma 2.4 at each reported index, with the worst sup-side and
     probe-side margins."""
-    ok, worst_sup, worst_delta = True, -math.inf, -math.inf
+    ok, worst_sup, worst_delta = True, math.inf, math.inf
     for report in reports.values():
         ok = ok and report.ok
-        worst_sup = max(worst_sup, report.tv2 - report.rhs_sup)
-        worst_delta = max(worst_delta, report.probe_max - report.rhs_delta)
+        worst_sup = min(worst_sup, report.rhs_sup - report.tv2)
+        worst_delta = min(worst_delta, report.rhs_delta - report.probe_max)
     return ok, [
-        f"worst sup-side margin: {-worst_sup:.6g}",
-        f"worst probe-side margin: {-worst_delta:.6g}",
+        f"worst sup-side margin: {worst_sup:.6g}",
+        f"worst probe-side margin: {worst_delta:.6g}",
     ]
 
 

@@ -132,15 +132,7 @@ class Pmf:
         object.__setattr__(self, "mass", mass)
         if mass.ndim != 1 or mass.size == 0:
             raise ValueError("mass must be a non-empty 1-d sequence")
-        if not np.isfinite(mass).all() or (mass < 0.0).any():
-            raise ValueError("mass entries must be finite and non-negative")
-        if not (0.0 <= self.tail < 1.0):
-            raise ValueError(f"tail mass out of range: {self.tail!r}")
-        total = float(mass.sum()) + self.tail
-        if abs(total - 1.0) > self.tol:
-            raise ValueError(
-                f"mass + tail sums to {total!r}, off by more than tol={self.tol!r}"
-            )
+        _check_laws(mass, (self.tail,), self.tol)
 
     def __len__(self) -> int:
         return int(self.mass.size)
@@ -148,6 +140,27 @@ class Pmf:
     @property
     def support_max(self) -> int:
         return int(self.mass.size - 1)
+
+
+def _check_laws(mass: np.ndarray, tails: Sequence[float], tol: float) -> None:
+    """Raise ``ValueError`` unless each law along the last axis of ``mass``,
+    with its entry of ``tails`` (one per law, in row order), is a law within
+    ``tol``: finite, non-negative masses, a tail in [0, 1), and mass + tail
+    within ``tol`` of 1.  This is the one definition of the check: a ``Pmf``
+    passes its one law, a stack of laws is checked in one call, and each law
+    sums its masses as ``mass.sum()`` of that law alone would."""
+    nonnegative = bool((mass >= 0.0).all())  # NaN fails the comparison
+    sums = mass.sum(axis=-1, keepdims=True).ravel().tolist() if nonnegative else []
+    # an infinite mass makes its law's sum infinite, and only then are the
+    # entries tested one by one
+    if not nonnegative or (math.inf in sums and not np.isfinite(mass).all()):
+        raise ValueError("mass entries must be finite and non-negative")
+    for mass_sum, tail in zip(sums, tails, strict=True):
+        if not (0.0 <= tail < 1.0):
+            raise ValueError(f"tail mass out of range: {tail!r}")
+        total = mass_sum + tail
+        if abs(total - 1.0) > tol:
+            raise ValueError(f"mass + tail sums to {total!r}, off by more than tol={tol!r}")
 
 
 def _as_mass(p: "Pmf | Sequence[float] | np.ndarray") -> np.ndarray:

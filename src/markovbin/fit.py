@@ -264,7 +264,9 @@ def _tabulated(
 ) -> Pmf:
     """Mass of the ``family`` law with parameters ``args`` on {0..trunc},
     with its tail mass; trunc defaults to the 1 - TRUNCATION_MASS quantile,
-    capped at 10*(mean + 10*std).
+    capped at 10*(mean + 10*std).  An explicit trunc so far below the bulk
+    that the tail past it rounds to 1 raises ValueError: {0..trunc} holds
+    none of the law's mass.
 
     Masses and tail are clipped to [0, 1], as ``scipy.stats`` clips them, so
     the values equal ``scipy.stats.<family>.pmf`` and ``.sf`` bit for bit.
@@ -276,7 +278,19 @@ def _tabulated(
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
     mass = np.clip(pmf(np.arange(trunc + 1), *args), 0.0, 1.0)
-    return Pmf(mass, tail=float(np.clip(sf(trunc, *args), 0.0, 1.0)), tol=tol)
+    tail = float(np.clip(sf(trunc, *args), 0.0, 1.0))
+    if tail == 1.0:
+        raise ValueError(f"truncation {trunc} holds none of the law's mass: its tail rounds to 1")
+    return Pmf(mass, tail=tail, tol=tol)
+
+
+def _point_mass(trunc: int | None) -> Pmf:
+    """The point mass at 0 on {0..trunc}, or on {0} when trunc is None."""
+    if trunc is not None and trunc < 0:
+        raise ValueError("truncation must be non-negative")
+    mass = np.zeros(1 if trunc is None else trunc + 1)
+    mass[0] = 1.0
+    return Pmf(mass)
 
 
 def nb_pmf(r: float, q: float, trunc: int | None = None) -> Pmf:
@@ -284,15 +298,16 @@ def nb_pmf(r: float, q: float, trunc: int | None = None) -> Pmf:
 
     N defaults to the point where the cumulative mass reaches
     1 - 1e-12, capped at 10*(mean + 10*std).  q = 1 gives the point mass
-    at 0.  A subnormal r raises ValueError: the kernels return nan or 0 for
-    every mass there.
+    at 0, on {0..trunc} when trunc is given.  A subnormal r raises
+    ValueError: the kernels return nan or 0 for every mass there.  So does
+    a trunc so far below the mean that the tail past it rounds to 1.
     """
     if not r >= sys.float_info.min:
         raise ValueError(f"r must be positive and not subnormal, got {r!r}")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must lie in (0, 1], got {q!r}")
     if q == 1.0:
-        return Pmf(np.ones(1))
+        return _point_mass(trunc)
     mean = r * (1.0 - q) / q
     return _tabulated("nbinom", (r, q), mean, math.sqrt(mean / q), trunc)
 
@@ -333,11 +348,12 @@ def _poisson_tol(lam: float) -> float:
 
 def poisson_pmf(lam: float, trunc: int | None = None) -> Pmf:
     """Poisson mass on {0..N} with its tail mass reported; lam = 0 is the
-    point mass at 0."""
+    point mass at 0, on {0..trunc} when trunc is given.  A trunc so far
+    below lam that the tail past it rounds to 1 raises ValueError."""
     if lam < 0.0:
         raise ValueError(f"lam must be non-negative, got {lam!r}")
     if lam == 0.0:
-        return Pmf(np.ones(1))
+        return _point_mass(trunc)
     return _tabulated("poisson", (lam,), lam, math.sqrt(lam), trunc, _poisson_tol(lam))
 
 

@@ -27,16 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .bounds import bound_constants, gamma_fn
-from .core import (
-    ChainParams,
-    Pmf,
-    _conditional_law,
-    _pass_snapshots,
-    _zero_padded,
-    exact_pmf,
-    moments_from_pmf,
-    tv_distance,
-)
+from .core import ChainParams, Pmf, _check_laws, _exact_tol, _pass_snapshots, exact_pmf
 from .fit import NbFit, _reference, binomial_pmf, fit_negative_binomial, nb_pmf, poisson_pmf
 
 __all__ = [
@@ -59,6 +50,12 @@ _BINOMIAL_EXTEND = 64  # how far past m binomial Stein solutions are tabulated
 # state (32 MB).  Every index at sum length n keeps about n^2/2 of them, which
 # is 20 GB per state at MAX_EXACT_N, so larger index sets take more rounds.
 _KEPT_DOUBLES = 1 << 22
+# Doubles in one stack of conditional laws in ``_lemma24_from_laws`` (256 kB).
+# A block of indices then fits in L2, every index up to n = 180 fits in one
+# block, and a larger n takes more blocks, not more memory: all-index peak
+# RSS at n = 4000 stays where one law per index at a time kept it, which
+# 1 MB stacks raise by about 2 MB.
+_STACK_DOUBLES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,6 +407,16 @@ def _lemma24_from_laws(
     steps) under ``"state1"`` and ``"state0"``.  Everything that does not
     depend on the index (the constants, the smoothing factor and both
     right-hand sides) is computed once.
+
+    The indices go in blocks of at most ``_STACK_DOUBLES`` doubles per
+    stack.  A block fills one stack of conditional laws per start state,
+    row r holding ``np.convolve`` of index r's segment laws in its first n
+    columns and 0 in the last, checks each stack once by the conditions a
+    ``Pmf`` enforces (``core._check_laws``), and compares the rows with the
+    law of S in array operations that reuse the two stacks, allocating no
+    stack of their own.  Every row takes the operations its conditional
+    ``Pmf`` would, so every report is the one the index gives alone, bit
+    for bit.
     """
     consts = bound_constants(params)
     amax = max(params.alpha, params.beta)
@@ -418,29 +425,47 @@ def _lemma24_from_laws(
     spread = abs(params.alpha - params.beta) * (5.0 + 23.0 * amax) / (1.0 - amax) ** 2
     rhs_delta = spread * smoothing
 
-    law_s, state1, state0 = laws["stationary"][n], laws["state1"], laws["state0"]
+    law_s = laws["stationary"][n].mass
+    segments = (laws["state1"], laws["state0"])
+    order = sorted(set(indices))
+    rows = max(1, min(len(order), _STACK_DOUBLES // (n + 1)))
+    stacks = [np.empty((rows, n + 1)) for _ in segments]
+    k = np.arange(n, dtype=float)
+    tol = _exact_tol(n)
     reports = {}
-    for i in sorted(indices):
-        law1 = _conditional_law(state1[i - 1], state1[n - i], n)
-        law0 = _conditional_law(state0[i - 1], state0[n - i], n)
-        tv2 = 2.0 * tv_distance(law1, law_s)
-        ok_sup = tv2 <= rhs_sup + _LEMMA24_TOL
+    for first in range(0, len(order), rows):
+        block = order[first : first + rows]
+        means = []
+        for stack, state in zip(stacks, segments):
+            stack[:, n] = 0.0  # the comparisons below overwrite it
+            for r, i in enumerate(block):
+                stack[r, :n] = np.convolve(state[i - 1].mass, state[n - i].mass)
+            law = stack[: len(block), :n]
+            _check_laws(law, [state[i - 1].tail + state[n - i].tail for i in block], tol)
+            means.append([float(k @ row) for row in law])
+        law1, law0 = (stack[: len(block)] for stack in stacks)
 
         # E dh_t(S) = -P(S = t) for the threshold probe h_t, so the probed
-        # left side is |F1(t) - F0(t) + (mean1 - mean0) * P(S = t)|.
-        gap = np.cumsum(_zero_padded(law1.mass, n + 1) - _zero_padded(law0.mass, n + 1))
-        shift = moments_from_pmf(law1)[0] - moments_from_pmf(law0)[0]
-        probe_max = float(np.abs(gap + shift * law_s.mass).max())
-        ok_delta = probe_max <= rhs_delta + _LEMMA24_TOL
+        # left side is |F1(t) - F0(t) + (mean1 - mean0) * P(S = t)|.  The
+        # stacks are the scratch space: the gap F1 - F0 overwrites law0's
+        # stack, then the TV terms and the probe terms law1's.
+        gap = np.cumsum(np.subtract(law1, law0, out=law0), axis=1, out=law0)
+        diff = np.abs(np.subtract(law1, law_s, out=law1), out=law1)
+        tv2 = (2.0 * (0.5 * diff.sum(axis=1))).tolist()
+        shifted = np.multiply(np.subtract(*means)[:, None], law_s, out=law1)
+        probe = np.abs(np.add(gap, shifted, out=gap), out=gap).max(axis=1).tolist()
 
-        reports[i] = Lemma24Report(
-            ok=ok_sup and ok_delta,
-            ok_sup=ok_sup,
-            ok_delta=ok_delta,
-            tv2=tv2,
-            rhs_sup=rhs_sup,
-            probe_max=probe_max,
-            rhs_delta=rhs_delta,
-            smoothing=smoothing,
-        )
+        for i, tv2_i, probe_max in zip(block, tv2, probe):
+            ok_sup = tv2_i <= rhs_sup + _LEMMA24_TOL
+            ok_delta = probe_max <= rhs_delta + _LEMMA24_TOL
+            reports[i] = Lemma24Report(
+                ok=ok_sup and ok_delta,
+                ok_sup=ok_sup,
+                ok_delta=ok_delta,
+                tv2=tv2_i,
+                rhs_sup=rhs_sup,
+                probe_max=probe_max,
+                rhs_delta=rhs_delta,
+                smoothing=smoothing,
+            )
     return reports

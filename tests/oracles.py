@@ -1,7 +1,10 @@
 """Independent oracles used to freeze expected values and cross-check the
 library.  Everything here recomputes from first principles (path
 enumeration, plain Monte Carlo, direct log-gamma formulas) and shares no
-code path with the implementation under test."""
+code path with the implementation under test, except ``scalar_lemma24``:
+it pins the stacked Lemma 2.4 comparison against the per-index one, so it
+builds each conditional law as a ``Pmf`` and compares with the library's
+``tv_distance``, one index at a time."""
 
 from __future__ import annotations
 
@@ -178,3 +181,39 @@ def scalar_lemma31(
     tail_delta_max = float(np.abs(delta[m + 1 :]).max()) if top > m + 1 else 0.0
     delta_at_m_error = abs(abs(float(delta[m])) - bound)
     return float((action - f).min()), delta_at_m_error, tail_delta_max, -float(g[-1])
+
+
+def scalar_lemma24(alpha: float, beta: float, n: int, laws: dict, indices) -> dict:
+    """The Lemma 2.4 report fields of each index, in ``Lemma24Report``
+    order, by the per-index loop: each conditional law a ``Pmf`` built from
+    ``np.convolve`` of its segment laws, the sup side by ``tv_distance`` and
+    the probe side by ``np.cumsum`` of zero-padded laws.  ``laws`` holds the
+    exact laws keyed by start and number of steps, as ``_lemma24_from_laws``
+    reads them."""
+    from markovbin.bounds import bound_constants, gamma_fn
+    from markovbin.core import ChainParams, Pmf, _exact_tol, tv_distance
+
+    consts = bound_constants(ChainParams(alpha, beta))
+    amax = max(alpha, beta)
+    smoothing = gamma_fn(consts, n / 4.0) + amax ** (n // 4)
+    rhs_sup = consts.c1 * smoothing
+    rhs_delta = abs(alpha - beta) * (5.0 + 23.0 * amax) / (1.0 - amax) ** 2 * smoothing
+    law_s = laws["stationary"][n]
+    fields = {}
+    for i in sorted(indices):
+        cond = {}
+        for start in ("state1", "state0"):
+            left, right = laws[start][i - 1], laws[start][n - i]
+            cond[start] = Pmf(np.convolve(left.mass, right.mass), tail=left.tail + right.tail,
+                              tol=_exact_tol(n))
+        tv2 = 2.0 * tv_distance(cond["state1"], law_s)
+        padded = {start: np.append(law.mass, 0.0) for start, law in cond.items()}
+        k = np.arange(n, dtype=float)
+        shift = float(k @ cond["state1"].mass) - float(k @ cond["state0"].mass)
+        gap = np.cumsum(padded["state1"] - padded["state0"])
+        probe_max = float(np.abs(gap + shift * law_s.mass).max())
+        ok_sup = tv2 <= rhs_sup + 1e-12
+        ok_delta = probe_max <= rhs_delta + 1e-12
+        fields[i] = (ok_sup and ok_delta, ok_sup, ok_delta, tv2, rhs_sup, probe_max, rhs_delta,
+                     smoothing)
+    return fields

@@ -310,6 +310,12 @@ class TestVerifyCommand:
         assert printed["worst sup-side margin"] == f"{sup:.6g}"
         assert printed["worst probe-side margin"] == f"{probe:.6g}"
 
+    def test_lemma24_equal_rates_margin_has_no_negative_zero(self, capsys):
+        # both sides of the probe inequality are 0 at alpha == beta
+        assert run(["verify", "lemma24", "--alpha", "0.4", "--beta", "0.4", "--n", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "worst probe-side margin: 0\n" in out and "-0" not in out
+
     def test_lemma24_all_indices_long_sum(self, capsys):
         params, n = ChainParams(0.3, 0.6), 400
         assert run(["verify", "lemma24", "--alpha", "0.3", "--beta", "0.6", "--n", "400"]) == 0

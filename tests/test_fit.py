@@ -177,6 +177,15 @@ class TestNbPmf:
         pmf = nb_pmf(3.0, 1.0)
         assert pmf.mass.tolist() == [1.0] and pmf.tail == 0.0
 
+    @pytest.mark.parametrize("trunc", [0, 1, 7])
+    def test_q_one_point_mass_keeps_truncation(self, trunc):
+        pmf = nb_pmf(3.0, 1.0, trunc=trunc)
+        assert pmf.mass.tolist() == [1.0] + [0.0] * trunc and pmf.tail == 0.0
+
+    def test_truncation_holding_no_mass(self):
+        with pytest.raises(ValueError, match=r"^truncation 158 holds none of the law's mass"):
+            nb_pmf(23187.313330009438, 0.08193447506491847, trunc=158)
+
     def test_integer_r_values(self):
         pmf = nb_pmf(2.0, 0.5, trunc=5)
         assert pmf.mass[0] == pytest.approx(0.25, rel=1e-14)
@@ -233,6 +242,22 @@ class TestBinomialPmf:
 class TestPoissonPmf:
     def test_lambda_zero(self):
         assert poisson_pmf(0.0).mass.tolist() == [1.0]
+
+    @pytest.mark.parametrize("trunc", [0, 1, 7])
+    def test_lambda_zero_keeps_truncation(self, trunc):
+        pmf = poisson_pmf(0.0, trunc=trunc)
+        assert pmf.mass.tolist() == [1.0] + [0.0] * trunc and pmf.tail == 0.0
+
+    def test_point_mass_rejects_negative_truncation(self):
+        with pytest.raises(ValueError, match="truncation must be non-negative"):
+            poisson_pmf(0.0, trunc=-1)
+        with pytest.raises(ValueError, match="truncation must be non-negative"):
+            nb_pmf(3.0, 1.0, trunc=-1)
+
+    @pytest.mark.parametrize("lam,trunc", [(24275.18785902354, 130), (1915.6058893048576, 146)])
+    def test_truncation_holding_no_mass(self, lam, trunc):
+        with pytest.raises(ValueError, match=rf"^truncation {trunc} holds none of the law's mass"):
+            poisson_pmf(lam, trunc=trunc)
 
     def test_lambda_one(self):
         pmf = poisson_pmf(1.0, trunc=10)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from markovbin import (
     verify_lemma24,
 )
 from markovbin.fit import binomial_pmf
-from markovbin.stein import _binomial_stein, _lemma24_reports, _solve_nb
-from oracles import scalar_binomial_stein, scalar_lemma31, scalar_nb_stein
+from markovbin.core import Pmf, _exact_tol, _pass_snapshots, exact_pmf
+from markovbin.stein import _binomial_stein, _lemma24_from_laws, _lemma24_reports, _solve_nb
+from oracles import scalar_binomial_stein, scalar_lemma24, scalar_lemma31, scalar_nb_stein
 
 
 def random_subset(rng, upper):
@@ -336,3 +338,64 @@ class TestLemma24Reports:
             assert len(kept) == 2 * rounds and max(kept) <= 200
             assert list(reports) == list(whole) == list(range(1, n + 1))
             assert all(reports[i] == whole[i] for i in whole)
+
+
+def _lemma24_laws(params, n, indices):
+    """The exact laws ``_lemma24_from_laws`` reads for these indices."""
+    steps = {k for i in indices for k in (i - 1, n - i)}
+    laws = {start: _pass_snapshots(params, start, steps) for start in ("state1", "state0")}
+    return {"stationary": {n: exact_pmf(params, n)}, **laws}
+
+
+class TestLemma24Stacks:
+    """The blocked comparison against the per-index loop of ``scalar_lemma24``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 161, 1000])
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.6), (0.6, 0.25), (0.4, 0.4), (1e-3, 0.999)])
+    def test_every_field_matches_scalar_oracle(self, alpha, beta, n, monkeypatch):
+        import markovbin.stein as stein
+
+        params, indices = ChainParams(alpha, beta), range(1, n + 1)
+        laws = _lemma24_laws(params, n, indices)
+        wanted = scalar_lemma24(alpha, beta, n, laws, indices)
+        reports = _lemma24_reports(params, n, indices)
+        assert list(reports) == list(wanted)
+        for i, report in reports.items():
+            assert astuple(report) == wanted[i], i
+            assert type(report.tv2) is float and type(report.probe_max) is float
+            assert type(report.ok) is bool
+        # blocks of one and of three rows give the same reports
+        for rows in (1, 3):
+            monkeypatch.setattr(stein, "_STACK_DOUBLES", rows * (n + 1))
+            blocked = _lemma24_from_laws(params, n, laws, indices)
+            assert {i: astuple(r) for i, r in blocked.items()} == wanted, rows
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            ("nan", "mass entries must be finite"),
+            ("negative", "mass entries must be finite and non-negative"),
+            ("sum", "mass + tail sums to"),
+            ("tail", "tail mass out of range"),
+        ],
+    )
+    def test_corrupted_segment_raises_pmf_message(self, corrupt, message):
+        params, n, index = ChainParams(0.3, 0.6), 12, 5
+        laws = _lemma24_laws(params, n, range(1, n + 1))
+        segment = laws["state0"][n - index]
+        if corrupt == "nan":
+            segment.mass[1] = np.nan
+        elif corrupt == "negative":
+            segment.mass[1] = -segment.mass[1]
+        elif corrupt == "sum":
+            segment.mass[1] *= 1.5
+        else:
+            object.__setattr__(segment, "tail", 1.5)
+        left = laws["state0"][index - 1]
+        with pytest.raises(ValueError) as expected:
+            Pmf(np.convolve(left.mass, segment.mass), tail=left.tail + segment.tail,
+                tol=_exact_tol(n))
+        with pytest.raises(ValueError) as raised:
+            _lemma24_from_laws(params, n, laws, range(1, n + 1))
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value).startswith(message)
