@@ -257,13 +257,13 @@ def _sweep_laws(params: ChainParams, config: SweepConfig) -> dict[str, dict[int,
     and number of steps, from one DP pass per start state to the largest
     number of steps that start needs: the law of S for every n, the sum
     out of state 0 for ``lemma21`` and, for ``lemma24``, the segment laws
-    out of either state for each checked index i (i - 1 and n - i steps).
+    out of either state of the checked indices (``stein._lemma24_steps``).
     They take about 6n doubles per n in the list.
     """
     sums = set(config.n_list)
     segments = set()
     if "lemma24" in config.checks:
-        segments = {k for n in sums for i in _sweep_indices(n) for k in (i - 1, n - i)}
+        segments = {k for n in sums for k in stein_mod._lemma24_steps(n, _sweep_indices(n))}
     lemma21 = sums if "lemma21" in config.checks else set()
     steps = {"stationary": sums, "state0": lemma21 | segments, "state1": segments}
     return {start: _pass_snapshots(params, start, ks) for start, ks in steps.items() if ks}
@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=_int_in(0), default=0)
     verify.add_argument("--step", type=_probability, default=0.05, help="grid step for lemma22")
     verify.add_argument("--n-max", type=_positive_int, default=200, help="largest n for lemma22")
-    verify.add_argument("--tol", type=float, default=0.005, help="TV tolerance for mc-exact")
+    verify.add_argument("--tol", type=_probability, default=0.005, help="TV tolerance for mc-exact")
     # usage errors found after parsing are reported against verify's options
     verify.set_defaults(run=lambda args: cmd_verify(args, verify))
     return parser

@@ -305,14 +305,6 @@ def exact_pmf(params: ChainParams, n: int, start: Start = "stationary") -> Pmf:
     return _pass_snapshots(params, start, [n])[n]
 
 
-def _conditional_law(left: Pmf, right: Pmf, n: int) -> Pmf:
-    """L(S - X_i | X_i = j) for an n-step sum, from the laws of its left
-    segment (i - 1 steps out of j) and right segment (n - i steps out of j):
-    their convolution, left first, carrying both segments' dropped mass and
-    the tolerance of an n-step exact law."""
-    return Pmf(np.convolve(left.mass, right.mass), tail=left.tail + right.tail, tol=_exact_tol(n))
-
-
 def exact_conditional_pmf(params: ChainParams, n: int, i: int, j: int) -> Pmf:
     """Exact law of S - X_i given X_i = j, for the stationary chain.
 
@@ -332,7 +324,8 @@ def exact_conditional_pmf(params: ChainParams, n: int, i: int, j: int) -> Pmf:
     if j not in (0, 1):
         raise ValueError(f"state j must be 0 or 1, got {j!r}")
     laws = _pass_snapshots(params, "state1" if j == 1 else "state0", (i - 1, n - i))
-    return _conditional_law(laws[i - 1], laws[n - i], n)
+    left, right = laws[i - 1], laws[n - i]
+    return Pmf(np.convolve(left.mass, right.mass), tail=left.tail + right.tail, tol=_exact_tol(n))
 
 
 @dataclass(frozen=True)

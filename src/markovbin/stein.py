@@ -22,7 +22,7 @@ binomial).  Residuals are checked, not trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,14 +47,14 @@ _STEIN_TOL = 1e-9  # the one Stein tolerance (residuals, bound slack), for solve
 _LEMMA24_TOL = 1e-12  # slack on the Lemma 2.4 inequalities, for exact-law rounding
 _BINOMIAL_EXTEND = 64  # how far past m binomial Stein solutions are tabulated
 # Doubles of segment laws one round of ``_lemma24_reports`` keeps per start
-# state (32 MB).  Every index at sum length n keeps about n^2/2 of them, which
-# is 20 GB per state at MAX_EXACT_N, so larger index sets take more rounds.
+# state (32 MB).  Every side at sum length n keeps about n^2/2 of them, which
+# is 40 GB per state at MAX_EXACT_N, so larger index sets take more rounds.
 _KEPT_DOUBLES = 1 << 22
-# Doubles in one stack of conditional laws in ``_lemma24_from_laws`` (256 kB).
-# A block of indices then fits in L2, every index up to n = 180 fits in one
-# block, and a larger n takes more blocks, not more memory: all-index peak
-# RSS at n = 4000 stays where one law per index at a time kept it, which
-# 1 MB stacks raise by about 2 MB.
+# Doubles in one stack of conditional laws in ``_lemma24_from_laws`` (256 kB),
+# one row per side.  A block of sides then fits in L2, every index up to
+# n = 255 fits in one block, and a larger n takes more blocks, not more
+# memory: all-index peak RSS at n = 4000 stays where one law per index at a
+# time kept it, which 1 MB stacks raise by about 2 MB.
 _STACK_DOUBLES = 1 << 15
 
 
@@ -365,37 +365,43 @@ def _lemma24_reports(
 ) -> dict[int, Lemma24Report]:
     """Lemma 2.4 reports for each index, keyed by index in ascending order.
 
-    The law of S takes one DP pass, and each round of ``_lemma24_rounds``
-    one pass out of each state, whose laws are released before the next
-    round's passes.  Up to n of about 2 900 every index fits in one round,
-    so the cost is about 3n DP steps plus the convolutions (O(n^3/6)
-    multiply-adds for every index).
+    The law of S takes one DP pass, and each round of sides one pass out of
+    each state, keeping n + 1 doubles per side and at most ``_KEPT_DOUBLES``
+    per state until the next round.  Up to n of about 2 900 every index fits
+    in one round, so the cost is about 3n DP steps plus the convolutions
+    (O(n^3/12) multiply-adds for every index).
     """
     law_s = {n: exact_pmf(params, n)}
+    sides = list(_lemma24_sides(n, indices).values())
+    per_round = max(1, _KEPT_DOUBLES // (n + 1))
     reports = {}
-    for batch in _lemma24_rounds(n, indices):
-        steps = {k for i in batch for k in (i - 1, n - i)}
+    for first in range(0, len(sides), per_round):
+        batch = [i for group in sides[first : first + per_round] for i in group]
+        steps = _lemma24_steps(n, batch)
         laws = {start: _pass_snapshots(params, start, steps) for start in ("state1", "state0")}
         reports.update(_lemma24_from_laws(params, n, {"stationary": law_s, **laws}, batch))
         del laws  # before the next round's passes
     return dict(sorted(reports.items()))
 
 
-def _lemma24_rounds(n: int, indices: Iterable[int]) -> Iterator[list[int]]:
-    """The indices in rounds.  Index i reads the laws after i - 1 and n - i
-    steps, n + 1 doubles, which index n + 1 - i reads too: the two share the
-    shorter side min(i - 1, n - i).  Each round takes the indices of the
-    next shorter sides, as many as keep at most ``_KEPT_DOUBLES`` doubles
-    per state."""
+def _lemma24_sides(n: int, indices: Iterable[int]) -> dict[int, list[int]]:
+    """The indices keyed by side, in ascending order.  Index i reads the laws
+    after i - 1 and n - i steps, and index n + 1 - i the same two swapped;
+    by reversibility (``exact_conditional_pmf``) both have the law of side
+    s = min(i - 1, n - i), which reads the laws after s and n - 1 - s steps."""
+    wanted = sorted(set(indices))
+    bad = [i for i in wanted if not 1 <= i <= n]
+    if bad:
+        raise ValueError(f"index i={bad[0]} out of range 1..{n}")
     sides: dict[int, list[int]] = {}
-    for i in set(indices):
-        if not 1 <= i <= n:
-            raise ValueError(f"index i={i} out of range 1..{n}")
+    for i in wanted:
         sides.setdefault(min(i - 1, n - i), []).append(i)
-    order = sorted(sides)
-    per_round = max(1, _KEPT_DOUBLES // (n + 1))
-    for first in range(0, len(order), per_round):
-        yield [i for side in order[first : first + per_round] for i in sides[side]]
+    return dict(sorted(sides.items()))
+
+
+def _lemma24_steps(n: int, indices: Iterable[int]) -> set[int]:
+    """The numbers of steps of every segment law the indices read."""
+    return {k for s in _lemma24_sides(n, indices) for k in (s, n - 1 - s)}
 
 
 def _lemma24_from_laws(
@@ -403,20 +409,18 @@ def _lemma24_from_laws(
 ) -> dict[int, Lemma24Report]:
     """Lemma 2.4 reports for each index, keyed by index in ascending order,
     from exact laws keyed by start and number of steps: the law of S under
-    ``"stationary"`` and the segment laws of each index i (i - 1 and n - i
-    steps) under ``"state1"`` and ``"state0"``.  Everything that does not
-    depend on the index (the constants, the smoothing factor and both
-    right-hand sides) is computed once.
+    ``"stationary"`` and the segment laws (``_lemma24_steps``) under
+    ``"state1"`` and ``"state0"``.  The constants, the smoothing factor and
+    both right-hand sides are computed once, the rest once per side.
 
-    The indices go in blocks of at most ``_STACK_DOUBLES`` doubles per
-    stack.  A block fills one stack of conditional laws per start state,
-    row r holding ``np.convolve`` of index r's segment laws in its first n
-    columns and 0 in the last, checks each stack once by the conditions a
-    ``Pmf`` enforces (``core._check_laws``), and compares the rows with the
-    law of S in array operations that reuse the two stacks, allocating no
-    stack of their own.  Every row takes the operations its conditional
-    ``Pmf`` would, so every report is the one the index gives alone, bit
-    for bit.
+    The sides go in blocks of at most ``_STACK_DOUBLES`` doubles per stack.
+    A block fills one stack of conditional laws per start state, row r
+    holding ``np.convolve`` of side r's segment laws in its first n columns
+    and 0 in the last, checks each stack once by the conditions a ``Pmf``
+    enforces (``core._check_laws``), and compares the rows with the law of
+    S in array operations that reuse the two stacks, allocating no stack of
+    their own.  ``np.convolve`` puts the longer law first, so every report
+    is the one each index of the side gives alone, bit for bit.
     """
     consts = bound_constants(params)
     amax = max(params.alpha, params.beta)
@@ -427,8 +431,9 @@ def _lemma24_from_laws(
 
     law_s = laws["stationary"][n].mass
     segments = (laws["state1"], laws["state0"])
-    order = sorted(set(indices))
-    rows = max(1, min(len(order), _STACK_DOUBLES // (n + 1)))
+    sides = _lemma24_sides(n, indices)
+    order = list(sides)
+    rows = max(1, min(len(sides), _STACK_DOUBLES // (n + 1)))
     stacks = [np.empty((rows, n + 1)) for _ in segments]
     k = np.arange(n, dtype=float)
     tol = _exact_tol(n)
@@ -438,10 +443,10 @@ def _lemma24_from_laws(
         means = []
         for stack, state in zip(stacks, segments):
             stack[:, n] = 0.0  # the comparisons below overwrite it
-            for r, i in enumerate(block):
-                stack[r, :n] = np.convolve(state[i - 1].mass, state[n - i].mass)
+            for r, s in enumerate(block):
+                stack[r, :n] = np.convolve(state[s].mass, state[n - 1 - s].mass)
             law = stack[: len(block), :n]
-            _check_laws(law, [state[i - 1].tail + state[n - i].tail for i in block], tol)
+            _check_laws(law, [state[s].tail + state[n - 1 - s].tail for s in block], tol)
             means.append([float(k @ row) for row in law])
         law1, law0 = (stack[: len(block)] for stack in stacks)
 
@@ -455,17 +460,18 @@ def _lemma24_from_laws(
         shifted = np.multiply(np.subtract(*means)[:, None], law_s, out=law1)
         probe = np.abs(np.add(gap, shifted, out=gap), out=gap).max(axis=1).tolist()
 
-        for i, tv2_i, probe_max in zip(block, tv2, probe):
-            ok_sup = tv2_i <= rhs_sup + _LEMMA24_TOL
+        for s, tv2_s, probe_max in zip(block, tv2, probe):
+            ok_sup = tv2_s <= rhs_sup + _LEMMA24_TOL
             ok_delta = probe_max <= rhs_delta + _LEMMA24_TOL
-            reports[i] = Lemma24Report(
+            report = Lemma24Report(
                 ok=ok_sup and ok_delta,
                 ok_sup=ok_sup,
                 ok_delta=ok_delta,
-                tv2=tv2_i,
+                tv2=tv2_s,
                 rhs_sup=rhs_sup,
                 probe_max=probe_max,
                 rhs_delta=rhs_delta,
                 smoothing=smoothing,
             )
-    return reports
+            reports.update(dict.fromkeys(sides[s], report))
+    return dict(sorted(reports.items()))

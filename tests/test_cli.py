@@ -374,6 +374,32 @@ class TestVerifyCommand:
              "--samples", "100000", "--seed", "2", "--tol", "0.02"]
         ) == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "1", "inf"])
+    def test_mc_exact_tol_outside_unit_interval_exits_2(self, tol, capsys):
+        # a TV distance lies in [0, 1], so no other tolerance means anything
+        with pytest.raises(SystemExit) as excinfo:
+            run(["verify", "mc-exact", "--alpha", "0.3", "--beta", "0.6", "--n", "20",
+                 "--tol", tol])
+        assert excinfo.value.code == 2
+        assert "argument --tol" in capsys.readouterr().err
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the fixed absolute Stein tolerance fails valid points at small rates",
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stein-nb", "--alpha", "1e-14", "--beta", "1e-16", "--n", "10"],
+            ["stein-nb", "--alpha", "1e-08", "--beta", "0.9", "--n", "20"],
+            ["stein-nb", "--alpha", "1e-10", "--beta", "0.99", "--n", "5"],
+            ["stein-binomial", "--alpha", "1e-09", "--beta", "1e-10", "--n", "10"],
+        ],
+        ids=["nb-both-tiny", "nb-tiny-alpha", "nb-tiny-alpha-n5", "binomial-both-tiny"],
+    )
+    def test_stein_passes_at_small_rates(self, argv):
+        assert run(["verify", *argv, "--subsets", "50"]) == 0
+
     def test_bounds_single_point(self):
         assert run(["verify", "bounds", "--alpha", "0.2", "--beta", "0.7", "--n", "64"]) == 0
 

@@ -19,7 +19,9 @@ from markovbin import (
 )
 from markovbin.fit import binomial_pmf
 from markovbin.core import Pmf, _exact_tol, _pass_snapshots, exact_pmf
-from markovbin.stein import _binomial_stein, _lemma24_from_laws, _lemma24_reports, _solve_nb
+from markovbin.stein import (
+    _binomial_stein, _lemma24_from_laws, _lemma24_reports, _lemma24_steps, _solve_nb,
+)
 from oracles import scalar_binomial_stein, scalar_lemma24, scalar_lemma31, scalar_nb_stein
 
 
@@ -304,10 +306,27 @@ class TestLemma24Reports:
             assert list(reports) == sorted(set(indices))
             for i, report in reports.items():
                 assert report == singles[i], (i, indices)
+        # the stationary chain is reversible, so i and n + 1 - i have one law
+        reports = _lemma24_reports(params, n, range(1, n + 1))
+        for i in range(1, n + 1):
+            assert reports[i] == reports[n + 1 - i], i
+
+    @pytest.mark.parametrize("n,calls", [(40, 40), (41, 42)])
+    def test_one_convolution_per_side_and_state(self, n, calls, monkeypatch):
+        """Indices i and n + 1 - i share a side, so all n indices take one
+        conditional law per side, ceil(n / 2) of them, out of each state."""
+        made, convolve = [], np.convolve
+        monkeypatch.setattr(np, "convolve", lambda *a: made.append(a) or convolve(*a))
+        reports = _lemma24_reports(ChainParams(0.3, 0.6), n, range(1, n + 1))
+        monkeypatch.undo()
+        assert len(made) == calls
+        assert list(reports) == list(range(1, n + 1))
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
             _lemma24_reports(ChainParams(0.3, 0.6), 10, [3, 11])
+        with pytest.raises(ValueError, match=r"^index i=-2 out of range 1\.\.10$"):
+            _lemma24_reports(ChainParams(0.3, 0.6), 10, [12, 3, 0, 11, -2])
 
     def test_memory_budget_splits_passes(self, monkeypatch):
         import markovbin.core as core
@@ -342,7 +361,7 @@ class TestLemma24Reports:
 
 def _lemma24_laws(params, n, indices):
     """The exact laws ``_lemma24_from_laws`` reads for these indices."""
-    steps = {k for i in indices for k in (i - 1, n - i)}
+    steps = _lemma24_steps(n, indices)
     laws = {start: _pass_snapshots(params, start, steps) for start in ("state1", "state0")}
     return {"stationary": {n: exact_pmf(params, n)}, **laws}
 
