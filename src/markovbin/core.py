@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,7 +50,6 @@ _EPS = float(np.finfo(float).eps)
 # cancelling closed form before it switches to the covariance sum.
 _MOMENT_RTOL = 1e-12
 
-Start = Union[str, Sequence[float]]
 # State of the exact DP after a step: f0, f1, lo, hi, tail (see ``_dp_pass``).
 _DpState = tuple[np.ndarray, np.ndarray, int, int, float]
 
@@ -137,10 +136,6 @@ class Pmf:
     def __len__(self) -> int:
         return int(self.mass.size)
 
-    @property
-    def support_max(self) -> int:
-        return int(self.mass.size - 1)
-
 
 def _check_laws(mass: np.ndarray, tails: Sequence[float], tol: float) -> None:
     """Raise ``ValueError`` unless each law along the last axis of ``mass``,
@@ -167,21 +162,14 @@ def _as_mass(p: "Pmf | Sequence[float] | np.ndarray") -> np.ndarray:
     return np.asarray(getattr(p, "mass", p), dtype=float)
 
 
-def _initial_law(params: ChainParams, start: Start) -> np.ndarray:
-    if isinstance(start, str):
-        if start == "stationary":
-            return stationary_law(params).as_array()
-        if start == "state0":
-            return np.array([1.0, 0.0])
-        if start == "state1":
-            return np.array([0.0, 1.0])
-        raise ValueError(
-            f"start must be 'stationary', 'state0', 'state1' or a length-2 law, got {start!r}"
-        )
-    law = np.asarray(start, dtype=float)
-    if law.shape != (2,) or np.any(law < 0.0) or abs(float(law.sum()) - 1.0) > PMF_TOL:
-        raise ValueError(f"custom start must be a probability law on {{0, 1}}, got {start!r}")
-    return law
+def _initial_law(params: ChainParams, start: str) -> np.ndarray:
+    if start == "stationary":
+        return stationary_law(params).as_array()
+    if start == "state0":
+        return np.array([1.0, 0.0])
+    if start == "state1":
+        return np.array([0.0, 1.0])
+    raise ValueError(f"start must be 'stationary', 'state0' or 'state1', got {start!r}")
 
 
 def _exact_tol(n: int) -> float:
@@ -202,7 +190,7 @@ def _exact_tol(n: int) -> float:
     return max(PMF_TOL, 2.0 * (n + 1) * _EPS)
 
 
-def _dp_pass(params: ChainParams, n: int, start: Start) -> Iterator[_DpState]:
+def _dp_pass(params: ChainParams, n: int, start: str) -> Iterator[_DpState]:
     """Run the windowed exact DP for n steps, yielding its state after each
     step k = 0..n as ``(f0, f1, lo, hi, tail)``.
 
@@ -255,7 +243,7 @@ def _dp_pass(params: ChainParams, n: int, start: Start) -> Iterator[_DpState]:
         yield f0, f1, lo, hi, tail
 
 
-def _pass_snapshots(params: ChainParams, start: Start, steps: Iterable[int]) -> dict[int, Pmf]:
+def _pass_snapshots(params: ChainParams, start: str, steps: Iterable[int]) -> dict[int, Pmf]:
     """The exact law of the k-step sum for every k in ``steps``, from one DP
     pass to the largest k (k = 0 gives the law of the empty sum).  This is
     the one source of exact laws: its state after k steps is the one a
@@ -273,8 +261,8 @@ def _pass_snapshots(params: ChainParams, start: Start, steps: Iterable[int]) -> 
     return laws
 
 
-def exact_pmf(params: ChainParams, n: int, start: Start = "stationary") -> Pmf:
-    """Exact law of the n-step sum under the given start.
+def exact_pmf(params: ChainParams, n: int, start: str = "stationary") -> Pmf:
+    """Exact law of the n-step sum from start "stationary", "state0" or "state1".
 
     The chain is anchored at step 0 with the initial law named by ``start``
     and the sum runs over steps 1..n, so the anchoring state itself is never

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ChainParams, Pmf, Start, _initial_law
+from .core import ChainParams, Pmf, stationary_law
 
 __all__ = [
     "CoupledState",
@@ -110,10 +110,8 @@ def _tail_stream(seed: int, purpose: int, index: int) -> np.random.Generator:
     return _stream(seed, purpose | _TAIL_FLAG, index)
 
 
-def sample_sums(
-    params: ChainParams, n: int, start: Start, num_samples: int, seed: int
-) -> np.ndarray:
-    """Sums over steps 1..n for ``num_samples`` independent trajectories.
+def sample_sums(params: ChainParams, n: int, num_samples: int, seed: int) -> np.ndarray:
+    """Sums over steps 1..n of ``num_samples`` independent stationary chains.
 
     Vectorized over samples in lockstep; sample i is reproducible on its own
     (see the module docstring for the stream layout).
@@ -122,10 +120,9 @@ def sample_sums(
         raise ValueError("n must be >= 1")
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    init = _initial_law(params, start)
     a, b = params.alpha, params.beta
     u0 = _stream(seed, _PURPOSE_SUMS, 0).random(num_samples)
-    state = u0 < init[1]
+    state = u0 < stationary_law(params).p
     totals = np.zeros(num_samples, dtype=np.int64)
     for t in range(1, n + 1):
         u = _stream(seed, _PURPOSE_SUMS, t).random(num_samples)
@@ -134,13 +131,12 @@ def sample_sums(
     return totals
 
 
-def empirical_pmf(values: np.ndarray, support_max: int | None = None) -> Pmf:
+def empirical_pmf(values: np.ndarray, support_max: int) -> Pmf:
     """Empirical mass function of non-negative integer samples."""
     values = np.asarray(values)
     if values.size == 0:
         raise ValueError("no samples")
-    minlength = support_max + 1 if support_max is not None else 0
-    counts = np.bincount(values, minlength=minlength)
+    counts = np.bincount(values, minlength=support_max + 1)
     return Pmf(counts / values.size)
 
 

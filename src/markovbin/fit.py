@@ -259,73 +259,48 @@ def _kernels() -> dict:
     }
 
 
-def _tabulated(
-    family: str, args: tuple, mean: float, std: float, trunc: int | None, tol: float = PMF_TOL
-) -> Pmf:
-    """Mass of the ``family`` law with parameters ``args`` on {0..trunc},
-    with its tail mass; trunc defaults to the 1 - TRUNCATION_MASS quantile,
-    capped at 10*(mean + 10*std).  An explicit trunc so far below the bulk
-    that the tail past it rounds to 1 raises ValueError: {0..trunc} holds
-    none of the law's mass.
+def _tabulated(family: str, args: tuple, mean: float, std: float, tol: float = PMF_TOL) -> Pmf:
+    """Mass of the ``family`` law with parameters ``args`` on {0..N}, with
+    its tail mass, where N is the 1 - TRUNCATION_MASS quantile, capped at
+    10*(mean + 10*std).
 
     Masses and tail are clipped to [0, 1], as ``scipy.stats`` clips them, so
     the values equal ``scipy.stats.<family>.pmf`` and ``.sf`` bit for bit.
     """
     pmf, sf, ppf = _kernels()[family]
-    if trunc is None:
-        cap = int(math.ceil(10.0 * (mean + 10.0 * std))) + 1
-        trunc = max(1, min(int(ppf(1.0 - TRUNCATION_MASS, *args)), cap))
-    if trunc < 0:
-        raise ValueError("truncation must be non-negative")
+    cap = int(math.ceil(10.0 * (mean + 10.0 * std))) + 1
+    trunc = max(1, min(int(ppf(1.0 - TRUNCATION_MASS, *args)), cap))
     mass = np.clip(pmf(np.arange(trunc + 1), *args), 0.0, 1.0)
     tail = float(np.clip(sf(trunc, *args), 0.0, 1.0))
-    if tail == 1.0:
-        raise ValueError(f"truncation {trunc} holds none of the law's mass: its tail rounds to 1")
     return Pmf(mass, tail=tail, tol=tol)
 
 
-def _point_mass(trunc: int | None) -> Pmf:
-    """The point mass at 0 on {0..trunc}, or on {0} when trunc is None."""
-    if trunc is not None and trunc < 0:
-        raise ValueError("truncation must be non-negative")
-    mass = np.zeros(1 if trunc is None else trunc + 1)
-    mass[0] = 1.0
-    return Pmf(mass)
-
-
-def nb_pmf(r: float, q: float, trunc: int | None = None) -> Pmf:
+def nb_pmf(r: float, q: float) -> Pmf:
     """Negative binomial mass on {0..N} with its tail mass reported.
 
-    N defaults to the point where the cumulative mass reaches
-    1 - 1e-12, capped at 10*(mean + 10*std).  q = 1 gives the point mass
-    at 0, on {0..trunc} when trunc is given.  A subnormal r raises
-    ValueError: the kernels return nan or 0 for every mass there.  So does
-    a trunc so far below the mean that the tail past it rounds to 1.
+    N is the point where the cumulative mass reaches 1 - 1e-12, capped at
+    10*(mean + 10*std).  q = 1 gives the point mass at 0, on {0}.  A
+    subnormal r raises ValueError: the kernels return nan or 0 for every
+    mass there.  So does an infinite or NaN r.
     """
-    if not r >= sys.float_info.min:
-        raise ValueError(f"r must be positive and not subnormal, got {r!r}")
+    if not sys.float_info.min <= r < math.inf:
+        raise ValueError(f"r must be positive, finite and not subnormal, got {r!r}")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must lie in (0, 1], got {q!r}")
     if q == 1.0:
-        return _point_mass(trunc)
+        return Pmf(np.ones(1))
     mean = r * (1.0 - q) / q
-    return _tabulated("nbinom", (r, q), mean, math.sqrt(mean / q), trunc)
+    return _tabulated("nbinom", (r, q), mean, math.sqrt(mean / q))
 
 
-def binomial_pmf(m: int, theta: float, trunc: int | None = None) -> Pmf:
-    """Binomial Bi(m, theta) mass, zero above m; trunc >= m pads with zeros."""
+def binomial_pmf(m: int, theta: float) -> Pmf:
+    """Binomial Bi(m, theta) mass on its support {0..m}."""
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
-    if trunc is None:
-        trunc = m
-    if trunc < m:
-        raise ValueError(f"truncation {trunc} cuts the support 0..{m}")
     (pmf,) = _kernels()["binom"]
-    mass = np.zeros(trunc + 1)
-    mass[: m + 1] = np.clip(pmf(np.arange(m + 1), m, theta), 0.0, 1.0)
-    return Pmf(mass)
+    return Pmf(np.clip(pmf(np.arange(m + 1), m, theta), 0.0, 1.0))
 
 
 def _poisson_tol(lam: float) -> float:
@@ -346,15 +321,15 @@ def _poisson_tol(lam: float) -> float:
     return max(PMF_TOL, 2.0 * sys.float_info.epsilon * drift)
 
 
-def poisson_pmf(lam: float, trunc: int | None = None) -> Pmf:
-    """Poisson mass on {0..N} with its tail mass reported; lam = 0 is the
-    point mass at 0, on {0..trunc} when trunc is given.  A trunc so far
-    below lam that the tail past it rounds to 1 raises ValueError."""
-    if lam < 0.0:
-        raise ValueError(f"lam must be non-negative, got {lam!r}")
+def poisson_pmf(lam: float) -> Pmf:
+    """Poisson mass on {0..N} with its tail mass reported, N as for
+    ``nb_pmf``; lam = 0 is the point mass at 0, on {0}.  A negative,
+    infinite or NaN lam raises ValueError."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be non-negative and finite, got {lam!r}")
     if lam == 0.0:
-        return _point_mass(trunc)
-    return _tabulated("poisson", (lam,), lam, math.sqrt(lam), trunc, _poisson_tol(lam))
+        return Pmf(np.ones(1))
+    return _tabulated("poisson", (lam,), lam, math.sqrt(lam), _poisson_tol(lam))
 
 
 def _reference(fit: NbFit | BinFit) -> Pmf:

@@ -280,7 +280,7 @@ def test_criterion_10_coupling_laws():
 
 def test_criterion_11_monte_carlo_vs_exact():
     params = ChainParams(0.3, 0.6)
-    sums = sample_sums(params, 50, "stationary", 1_000_000, seed=7)
+    sums = sample_sums(params, 50, 1_000_000, seed=7)
     tv = tv_distance(empirical_pmf(sums, support_max=50), exact_pmf(params, 50))
     ok = tv <= 0.005
     report(11, "empirical pmf vs exact law", ok, f"TV {tv:.4f}")

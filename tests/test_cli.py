@@ -353,8 +353,13 @@ class TestVerifyCommand:
             ["lemma24", "--alpha", "0.3", "--beta", "0.6", "--n", "5", "--index", "9"],
             ["stein-nb", "--alpha", "0.3", "--beta", "0.6", "--n", "10", "--seed", "-1"],
             ["stein-binomial", "--alpha", "0.6", "--beta", "0.3", "--n", "10", "--seed", "-1"],
+            # the lemma22 scan covers 2 <= n <= n_max, so n_max = 1 checks nothing
+            ["lemma22", "--n-max", "1"],
         ],
-        ids=["missing-n", "index-above-n", "negative-seed-nb", "negative-seed-binomial"],
+        ids=[
+            "missing-n", "index-above-n", "negative-seed-nb", "negative-seed-binomial",
+            "n-max-below-2",
+        ],
     )
     def test_usage_errors_show_verify_usage(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

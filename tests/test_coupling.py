@@ -30,13 +30,13 @@ from markovbin.coupling import (
 class TestSampleSums:
     def test_prefix_stable_in_num_samples(self):
         params = ChainParams(0.3, 0.6)
-        small = sample_sums(params, 25, "stationary", 7, seed=3)
-        large = sample_sums(params, 25, "stationary", 5000, seed=3)
+        small = sample_sums(params, 25, 7, seed=3)
+        large = sample_sums(params, 25, 5000, seed=3)
         assert np.array_equal(small, large[:7])
 
     def test_agrees_with_exact_law(self):
         params = ChainParams(0.3, 0.6)
-        sums = sample_sums(params, 20, "stationary", 200_000, seed=8)
+        sums = sample_sums(params, 20, 200_000, seed=8)
         tv = tv_distance(empirical_pmf(sums, support_max=20), exact_pmf(params, 20))
         assert tv <= 0.01
 
@@ -245,6 +245,18 @@ class TestPinnedStreams:
         _PURPOSE_MEETING: "245c97f9a09e0c079f301a4cf959166a2b2a0c0f42fb996911713d7aca5b8100",
         _PURPOSE_BLOCKS: "71692f5f5ff5a46d9cf0957eb739a766ed3f61ee9d458f0d96cb1e2cc87b4d41",
     }
+
+    # sha256 of the stationary sums at 5000 samples, keyed by (alpha, beta, n,
+    # seed), pinned from the sampler that took the start law as an argument
+    SUMS = {
+        (0.3, 0.6, 25, 3): "6cf4f7600ae26bb50dce517335d5653f8b40a9f4520e15e269f93d644af440a3",
+        (0.02, 0.97, 40, 11): "1dd696339a7667f02dd574d130adfe3794bffb6ba6cb994f1b906afedf8c7664",
+    }
+
+    @pytest.mark.parametrize("alpha,beta,n,seed", list(SUMS))
+    def test_sums(self, alpha, beta, n, seed):
+        sums = sample_sums(ChainParams(alpha, beta), n, 5000, seed=seed)
+        assert _digest(sums) == self.SUMS[alpha, beta, n, seed]
 
     @pytest.mark.parametrize("alpha,beta,size", list(HOT))
     def test_hot_shape(self, alpha, beta, size):

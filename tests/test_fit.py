@@ -169,25 +169,16 @@ class TestFitBinomial:
 
 class TestNbPmf:
     def test_geometric_reduction(self):
-        pmf = nb_pmf(1.0, 0.5, trunc=30)
-        geometric = 0.5 ** (np.arange(31) + 1)
+        pmf = nb_pmf(1.0, 0.5)
+        geometric = 0.5 ** (np.arange(len(pmf)) + 1)
         assert np.max(np.abs(pmf.mass - geometric)) <= 1e-14
 
     def test_q_one_point_mass(self):
         pmf = nb_pmf(3.0, 1.0)
         assert pmf.mass.tolist() == [1.0] and pmf.tail == 0.0
 
-    @pytest.mark.parametrize("trunc", [0, 1, 7])
-    def test_q_one_point_mass_keeps_truncation(self, trunc):
-        pmf = nb_pmf(3.0, 1.0, trunc=trunc)
-        assert pmf.mass.tolist() == [1.0] + [0.0] * trunc and pmf.tail == 0.0
-
-    def test_truncation_holding_no_mass(self):
-        with pytest.raises(ValueError, match=r"^truncation 158 holds none of the law's mass"):
-            nb_pmf(23187.313330009438, 0.08193447506491847, trunc=158)
-
     def test_integer_r_values(self):
-        pmf = nb_pmf(2.0, 0.5, trunc=5)
+        pmf = nb_pmf(2.0, 0.5)
         assert pmf.mass[0] == pytest.approx(0.25, rel=1e-14)
         assert pmf.mass[1] == pytest.approx(0.25, rel=1e-14)
         assert pmf.mass[2] == pytest.approx(0.1875, rel=1e-14)
@@ -225,14 +216,6 @@ class TestBinomialPmf:
         assert pmf.mass[0] == pytest.approx(1.0 - 2e-9, abs=1e-13)
         assert pmf.mass[1] == pytest.approx(2e-9, rel=1e-7)
 
-    def test_zero_above_m(self):
-        pmf = binomial_pmf(3, 0.25, trunc=6)
-        assert np.all(pmf.mass[4:] == 0.0)
-
-    def test_truncation_below_support_rejected(self):
-        with pytest.raises(ValueError):
-            binomial_pmf(5, 0.5, trunc=3)
-
     def test_matches_log_gamma_formula(self):
         pmf = binomial_pmf(30, 0.37)
         reference = binom_pmf_reference(np.arange(31), 30, 0.37)
@@ -243,29 +226,13 @@ class TestPoissonPmf:
     def test_lambda_zero(self):
         assert poisson_pmf(0.0).mass.tolist() == [1.0]
 
-    @pytest.mark.parametrize("trunc", [0, 1, 7])
-    def test_lambda_zero_keeps_truncation(self, trunc):
-        pmf = poisson_pmf(0.0, trunc=trunc)
-        assert pmf.mass.tolist() == [1.0] + [0.0] * trunc and pmf.tail == 0.0
-
-    def test_point_mass_rejects_negative_truncation(self):
-        with pytest.raises(ValueError, match="truncation must be non-negative"):
-            poisson_pmf(0.0, trunc=-1)
-        with pytest.raises(ValueError, match="truncation must be non-negative"):
-            nb_pmf(3.0, 1.0, trunc=-1)
-
-    @pytest.mark.parametrize("lam,trunc", [(24275.18785902354, 130), (1915.6058893048576, 146)])
-    def test_truncation_holding_no_mass(self, lam, trunc):
-        with pytest.raises(ValueError, match=rf"^truncation {trunc} holds none of the law's mass"):
-            poisson_pmf(lam, trunc=trunc)
-
     def test_lambda_one(self):
-        pmf = poisson_pmf(1.0, trunc=10)
+        pmf = poisson_pmf(1.0)
         assert pmf.mass[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
         assert pmf.mass[1] == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_lambda_two(self):
-        pmf = poisson_pmf(2.0, trunc=10)
+        pmf = poisson_pmf(2.0)
         assert pmf.mass[2] == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14)
 
     def test_matches_log_gamma_formula(self):
@@ -289,29 +256,37 @@ class TestPoissonPmf:
             assert rel <= bound, (k, rel, bound)
 
 
-def _stats_law(law, args, mean, std, trunc):
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda: nb_pmf(math.inf, 0.5), "r"),
+        (lambda: nb_pmf(math.nan, 0.5), "r"),
+        (lambda: poisson_pmf(math.inf), "lam"),
+        (lambda: poisson_pmf(math.nan), "lam"),
+    ],
+    ids=["nb-r-inf", "nb-r-nan", "poisson-lam-inf", "poisson-lam-nan"],
+)
+def test_non_finite_parameters_rejected(build, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        build()
+
+
+def _stats_law(law, args, mean, std):
     """What ``fit._tabulated`` tabulates, computed through scipy.stats."""
-    if trunc is None:
-        cap = int(math.ceil(10.0 * (mean + 10.0 * std))) + 1
-        trunc = max(1, min(int(law.ppf(1.0 - TRUNCATION_MASS, *args)), cap))
+    cap = int(math.ceil(10.0 * (mean + 10.0 * std))) + 1
+    trunc = max(1, min(int(law.ppf(1.0 - TRUNCATION_MASS, *args)), cap))
     return law.pmf(np.arange(trunc + 1), *args), float(law.sf(trunc, *args))
 
 
 class TestScipyStatsIdentity:
     """The reference laws are built on the scipy.special kernels that
     scipy.stats calls; a scipy release that changes either side fails here.
-    Each case compares the mass bytes, the tail and, with no explicit
-    truncation, the truncation point."""
+    Each case compares the mass bytes, the tail and the truncation point."""
 
-    @staticmethod
-    def _truncation(rng, mean, std):
-        # the default, or an explicit point from below the mean to far past it
-        return None if rng.random() < 0.6 else max(0, int(mean + rng.uniform(-2.0, 12.0) * std))
-
-    def _assert_same(self, pmf, law, args, mean, std, trunc):
-        mass, tail = _stats_law(law, args, mean, std, trunc)
-        assert pmf.mass.tobytes() == mass.tobytes(), (args, trunc)
-        assert pmf.tail == tail, (args, trunc)
+    def _assert_same(self, pmf, law, args, mean, std):
+        mass, tail = _stats_law(law, args, mean, std)
+        assert pmf.mass.tobytes() == mass.tobytes(), args
+        assert pmf.tail == tail, args
 
     def test_negative_binomial(self):
         rng = np.random.default_rng(20261019)
@@ -325,8 +300,7 @@ class TestScipyStatsIdentity:
             if mean > 2e5:
                 continue
             std = math.sqrt(mean / q)
-            trunc = self._truncation(rng, mean, std)
-            self._assert_same(nb_pmf(r, q, trunc), stats.nbinom, (r, q), mean, std, trunc)
+            self._assert_same(nb_pmf(r, q), stats.nbinom, (r, q), mean, std)
 
     # pdtrik lands past the quantile here, and the ppf steps back by one
     _STEP_BACK = [1.4142316033337135e-06, 178.71171607341614, 6963.469107547125]
@@ -334,9 +308,7 @@ class TestScipyStatsIdentity:
     def test_poisson(self):
         rng = np.random.default_rng(20261020)
         for lam in [*self._STEP_BACK, *(10.0 ** rng.uniform(-6.0, 5.0, 300))]:
-            trunc = None if lam in self._STEP_BACK else self._truncation(rng, lam, math.sqrt(lam))
-            std = math.sqrt(lam)
-            self._assert_same(poisson_pmf(lam, trunc), stats.poisson, (lam,), lam, std, trunc)
+            self._assert_same(poisson_pmf(lam), stats.poisson, (lam,), lam, math.sqrt(lam))
 
     def test_binomial(self):
         rng = np.random.default_rng(20261021)
