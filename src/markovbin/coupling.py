@@ -5,31 +5,25 @@ The coupled pair moves two copies of the chain, one started at 1 and one at
 0, under the joint kernel that meets them as fast as possible: from a split
 state both land on j together with probability min(p0j, p1j), the residual
 mass |beta - alpha| keeps them split, and from the diagonal they move as one
-chain.  The first meeting time and the first joint visit to 0 are the
-quantities of interest.
+chain.
 
 Both first-passage samplers share one engine: copies of a 4-state chain
 started at state 2, moved by inverse-cdf tables, record their first entry
-into {0, 3} and their first entry into 0.  For the coupled pair the states
-are the encoded pairs s = 2*z1 + z0, so these are the meeting time and the
-joint visit to 0.  For the regeneration blocks the 0-block, the 1-block and
-done are the states 2, 3 and 0, so the two entry times end the two blocks.
+into {0, 3} and into 0: the meeting time and the joint visit to 0 of the
+pair encoded as s = 2*z1 + z0, or the ends of the 0-block (states 1 and 2)
+and of the 1-block (state 3).  A copy moves by whole runs inside its class,
+the split pair {1, 2} or the state 3, whose lengths are geometric: one
+uniform gives a run's length by inversion (Devroye 1986) and one the state
+it exits to, so a copy's cost does not grow with its passage times.
 
-Streams are counter-based.  Block t of draws comes from a Philox generator
-whose 256-bit counter encodes (purpose, t), and sample i always reads
-position i of each block, so a sample is a pure function of (seed, i):
-changing the number of samples, or splitting work across workers, never
-changes an individual draw.  The first-passage lockstep advances only the
-samples still running, grouped by state: it draws block t only up to the
-last running index and reads just their words of it.  Once they are few
-next to that index, each finishes alone on its own words of the blocks.
-The rare sample still running after the fixed lockstep horizon switches to
-a private stream keyed by its index.
+Streams are counter-based: block e of draws comes from a Philox generator
+whose 256-bit counter encodes (purpose, e), and sample i reads position i
+of block e for its e-th draw, so a sample is a pure function of (seed, i)
+whatever the number of samples or the split of work across workers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,18 +46,15 @@ __all__ = [
 # recorded as censored and counts as >= cap in tail comparisons.
 DEFAULT_STEP_CAP = 10_000
 
-# Vectorized lockstep runs this many steps before stragglers switch to
-# per-sample streams.
+# Read only by the benchmark's draw estimate (perfbench/tracing.py): no sampler has a horizon.
 LOCKSTEP_HORIZON = 256
 
-# The lockstep hands over to per-copy steps once running copies * _SOLO_WORDS <= words
-# per block: one copy's word alone costs 650 to 800 block words (2-vCPU x86-64, numpy 2.4).
-_SOLO_WORDS = 700
+# The largest step cap: a time up to it plus a run up to it + 1 fits in int64.
+_MAX_STEPS = 2**62 - 1
 
 _PURPOSE_SUMS = 1
 _PURPOSE_MEETING = 2
 _PURPOSE_BLOCKS = 3
-_TAIL_FLAG = 1 << 8
 
 _KEY_MASK = (1 << 128) - 1
 _WORD_MASK = (1 << 64) - 1
@@ -78,55 +69,49 @@ def _stream(seed: int, purpose: int, block: int) -> np.random.Generator:
     return np.random.Generator(philox)
 
 
-def _block_words(seed: int, purpose: int) -> Callable[..., np.ndarray]:
-    """``words(block, size, skip=0)``: the first ``size`` raw words of
-    ``_stream(seed, purpose, block)``, which its ``random`` turns into
-    uniforms, or of its words from ``4 * skip`` on.  One Philox generator is
-    re-seated on each block's counter, since setting its state costs a few
-    microseconds and building a new one about 30 times more.
+def _block_words(seed: int, purpose: int) -> Callable[[int, int], np.ndarray]:
+    """``words(block, size)``: the first ``size`` draws of ``_stream(seed,
+    purpose, block)`` as integers m (raw words >> 11), which its ``random``
+    turns into the uniforms m * 2**-53.  One generator is re-seated on each
+    block's counter: that costs a few microseconds, building one 30x more.
     """
     philox = np.random.Philox(key=int(seed) & _KEY_MASK)
     state = philox.state
 
-    def words(block: int, size: int, skip: int = 0) -> np.ndarray:
-        counter = _counter(purpose, block) + skip
+    def words(block: int, size: int) -> np.ndarray:
+        counter = _counter(purpose, block)
         state["state"]["counter"] = np.array(
             [(counter >> shift) & _WORD_MASK for shift in (0, 64, 128, 192)], dtype=np.uint64
         )
         philox.state = state
-        return philox.random_raw(size)
+        draws = philox.random_raw(size)
+        draws >>= 11
+        return draws
 
     return words
 
 
-def _sample_word(words: Callable[..., np.ndarray], block: int, i: int) -> int:
-    """Raw word i of ``block`` through ``words`` of ``_block_words``, fetched
-    alone: Philox makes 4 words per counter value, so it is lane i & 3 of the
-    words from counter value ``_counter(purpose, block) + (i >> 2)`` on."""
-    return int(words(block, (i & 3) + 1, i >> 2)[-1])
-
-
-def _tail_stream(seed: int, purpose: int, index: int) -> np.random.Generator:
-    return _stream(seed, purpose | _TAIL_FLAG, index)
+def _thresholds(cuts) -> np.ndarray:
+    """Integer thresholds of ``cuts``: u = m * 2**-53 < cut exactly when m < ceil(cut * 2**53)."""
+    return np.ceil(np.asarray(cuts) * 2.0**53).astype(np.uint64)
 
 
 def sample_sums(params: ChainParams, n: int, num_samples: int, seed: int) -> np.ndarray:
     """Sums over steps 1..n of ``num_samples`` independent stationary chains.
 
-    Vectorized over samples in lockstep; sample i is reproducible on its own
-    (see the module docstring for the stream layout).
+    Vectorized over samples; sample i reads word i of block t for step t
+    (block 0 for its start), so it is reproducible on its own.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    a, b = params.alpha, params.beta
-    u0 = _stream(seed, _PURPOSE_SUMS, 0).random(num_samples)
-    state = u0 < stationary_law(params).p
+    k_start, k0, k1 = _thresholds([stationary_law(params).p, params.alpha, params.beta])
+    words = _block_words(seed, _PURPOSE_SUMS)
+    state = words(0, num_samples) < k_start
     totals = np.zeros(num_samples, dtype=np.int64)
     for t in range(1, n + 1):
-        u = _stream(seed, _PURPOSE_SUMS, t).random(num_samples)
-        state = u < np.where(state, b, a)
+        state = words(t, num_samples) < np.where(state, k1, k0)
         totals += state
     return totals
 
@@ -178,9 +163,9 @@ def coupled_transition_law(
 class MeetingSamples:
     """Column-wise collection of meeting samples.
 
-    ``absorption_violations`` counts lockstep transitions that left the
-    diagonal after a meeting; the kernel gives such moves probability zero,
-    so any positive count flags a broken kernel.
+    ``absorption_violations`` counts the moves within the step cap that left
+    the diagonal after a meeting; the kernel gives them probability zero, so
+    a positive count flags a broken kernel.
     """
 
     varsigma: np.ndarray
@@ -197,12 +182,9 @@ class MeetingSamples:
         return float(np.mean(self.tau >= m))
 
 
-# Pair states are encoded as s = 2*z1 + z0; 0 and 3 are the diagonal.
-_SPLIT_10 = 2
-
-
 def _kernel_table(params: ChainParams) -> tuple[np.ndarray, ...]:
-    """Inverse-cdf tables of ``coupled_transition_law`` by encoded state s.
+    """Inverse-cdf tables of ``coupled_transition_law`` by encoded state
+    s = 2*z1 + z0, so that 0 and 3 are the diagonal.
 
     A uniform u moves the pair from s to 0 if u < t1[s], to 3 if
     u < t2[s], and to out3[s] otherwise: the split state the law keeps its
@@ -221,91 +203,65 @@ def _kernel_table(params: ChainParams) -> tuple[np.ndarray, ...]:
 
 
 def _first_passages(
-    table: tuple[np.ndarray, ...], num_samples: int, seed: int, purpose: int, step_cap: float
+    table: tuple[np.ndarray, ...], num_samples: int, seed: int, purpose: int, step_cap: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Run copies of a 4-state chain from state 2 through ``table``.
+    """Run copies of a 4-state chain from state 2 through ``table``, the
+    ``(t1, t2, out3)`` of ``_kernel_table``.  Returns each copy's first entry
+    time into {0, 3} and into 0 (0 if not within ``step_cap`` steps), whether
+    it reached 0, and the moves within the cap that left {0, 3} after entry.
 
-    ``table`` is ``(t1, t2, out3)`` as built by ``_kernel_table``.  Returns
-    each copy's first entry time into {0, 3} and into 0 (0 where not reached
-    within ``step_cap`` steps), whether it reached 0, and the number of
-    transitions up to the lockstep horizon of a running copy that left
-    {0, 3} after entering it.  A copy stops once it reaches 0, so moves
-    after that are not simulated.
-
-    The dense lockstep keeps the running copies' indices in groups keyed by
-    (state, entered {0, 3}), in no particular order.  Block t is drawn as
-    raw Philox words up to the last running index; ``Generator.random``
-    would turn word w into the uniform u = (w >> 11) * 2**-53, and u >= t
-    exactly when (w >> 11) >= ceil(t * 2**53), so each group compares its
-    copies' words with its state's two integer thresholds and splits into
-    the copies moving to 0, to 3 and to out3[s].  Once the running copies
-    are so few that fetching each one's word alone is cheaper than drawing
-    the block (``_SOLO_WORDS``), every copy left finishes alone: it reads
-    its own word of each block up to the horizon, then its tail stream.
-    Each copy's path is the same wherever the hand-over falls.
+    A copy moves by runs inside a class: the split pair {1, 2}, lumped once
+    the table gives both the same masses to 0 and 3, or the state 3.  Round r
+    reads its word of block 2r - 1 for the run length 1 + floor(log U /
+    log1p(-exit)), U in (0, 1], capped at step_cap + 1, and of block 2r for
+    an uncertain exit: to 0 below an integer threshold, else from the pair to
+    3 or from 3 to the pair.  Copies are grouped by (class, entered {0, 3}).
     """
     t1, t2, out3 = table
-    k1, k2 = (np.ceil(cut * 2.0**53).astype(np.uint64) for cut in (t1, t2))
-    varsigma = np.zeros(num_samples, dtype=np.int64)
-    tau = np.zeros(num_samples, dtype=np.int64)
-    groups = {(_SPLIT_10, False): np.arange(num_samples)}
-    violations = 0
-
+    rows = [np.bincount([0, 3, out3[s]], [t1[s], t2[s] - t1[s], 1.0 - t2[s]], 4) for s in range(4)]
+    mass = np.array(rows)  # mass[s, j]: the table's one-step mass from s to j
+    if not np.array_equal(mass[1, [0, 3]], mass[2, [0, 3]]):
+        raise AssertionError("split states 1 and 2 move to 0 and 3 with different masses")
+    # class -> its exit masses to 0 and to its other exit, and that exit
+    exits = {2: (mass[2, 0], mass[2, 3], 3), 3: (mass[3, 0], mass[3, 1] + mass[3, 2], 2)}
+    varsigma, tau, entered = (np.zeros(num_samples, dtype=np.int64) for _ in range(3))
+    groups, violations, block = {(2, False): np.arange(num_samples)}, 0, 0
     block_words = _block_words(seed, purpose)
-    horizon = min(step_cap, LOCKSTEP_HORIZON)
-    t = 0
-    while t < horizon and groups:
-        last = max(int(idx.max()) for idx in groups.values())
-        if sum(idx.size for idx in groups.values()) * _SOLO_WORDS <= last + 1:
-            break
-        t += 1
-        raw = block_words(t, last + 1)
+    while groups:
+        size = max(int(idx.max()) for idx in groups.values()) + 1
+        run_words, exit_words = block_words(block + 1, size), None
         moved: dict[tuple[int, bool], list[np.ndarray]] = {}
-        for (s, met), idx in groups.items():
-            words = (raw if t == 1 else raw.take(idx)) >> 11
-            low, high = words < k1[s], words >= k2[s]
-            for new, pick in ((0, low), (3, ~(low | high)), (int(out3[s]), high)):
-                picked = idx.compress(pick)
-                on_diag = new in (0, 3)
-                if met and not on_diag:
-                    violations += picked.size
-                elif on_diag and not met:
-                    varsigma[picked] = t
+        for (cls, met), idx in groups.items():
+            to_zero, to_other, other = exits[cls]
+            leave = min(to_zero + to_other, 1.0)
+            with np.errstate(divide="ignore", over="ignore"):
+                log_u = np.log((run_words.take(idx) + 1) * 2.0**-53)
+                run = np.minimum(1.0 + np.floor(log_u / np.log1p(-leave)), step_cap + 1.0)
+            at = entered.take(idx) + run.astype(np.int64)
+            if at.max() > step_cap:
+                idx, at = idx.compress(at <= step_cap), at.compress(at <= step_cap)
+            k_zero = _thresholds(to_zero / leave)
+            if 0 < k_zero < 2**53:  # an exit that is not certain reads its word
+                exit_words = block_words(block + 2, size) if exit_words is None else exit_words
+                zero = exit_words.take(idx) < k_zero
+            else:
+                zero = np.full(idx.size, k_zero > 0)
+            for new, pick in ((0, zero), (other, ~zero)):
+                picked, when = idx.compress(pick), at.compress(pick)
+                if not met and new != 2:
+                    varsigma[picked] = when
+                violations += picked.size if met and new == 2 else 0
                 if new == 0:
-                    tau[picked] = t
+                    tau[picked] = when
                 elif picked.size:
-                    moved.setdefault((new, met or on_diag), []).append(picked)
-        groups = {key: np.concatenate(parts) for key, parts in moved.items()}
-
-    t1, t2, out3 = t1.tolist(), t2.tolist(), out3.tolist()
-    for (s0, met0), idx in groups.items():
-        for i in idx.tolist():
-            s, has_met, rng, step = s0, met0, None, t
-            while step < step_cap:
-                step += 1
-                if step <= horizon:
-                    u = (_sample_word(block_words, step, i) >> 11) * 2.0**-53
-                else:
-                    rng = rng or _tail_stream(seed, purpose, i)
-                    u = float(rng.random())
-                s = 0 if u < t1[s] else (3 if u < t2[s] else out3[s])
-                if s in (0, 3) and not has_met:
-                    has_met = True
-                    varsigma[i] = step
-                elif has_met and s not in (0, 3) and step <= horizon:
-                    violations += 1
-                if s == 0:
-                    tau[i] = step
-                    break
-
+                    entered[picked] = when
+                    moved.setdefault((new, met or new == 3), []).append(picked)
+        groups, block = {key: np.concatenate(parts) for key, parts in moved.items()}, block + 2
     return varsigma, tau, tau > 0, violations
 
 
 def sample_meeting_times(
-    params: ChainParams,
-    num_samples: int,
-    seed: int,
-    step_cap: int = DEFAULT_STEP_CAP,
+    params: ChainParams, num_samples: int, seed: int, step_cap: int = DEFAULT_STEP_CAP
 ) -> MeetingSamples:
     """Independent coupled runs from (1, 0), recording (varsigma, tau).
 
@@ -315,19 +271,14 @@ def sample_meeting_times(
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    if step_cap < 1:
-        raise ValueError("step_cap must be >= 1")
+    if not 1 <= step_cap <= _MAX_STEPS:
+        raise ValueError("step_cap must be >= 1 and < 2**62")
     varsigma, tau, done, violations = _first_passages(
         _kernel_table(params), num_samples, seed, _PURPOSE_MEETING, step_cap
     )
     varsigma[varsigma == 0] = step_cap
     tau[~done] = step_cap
-    return MeetingSamples(
-        varsigma=varsigma,
-        tau=tau,
-        censored=~done,
-        absorption_violations=violations,
-    )
+    return MeetingSamples(varsigma, tau, censored=~done, absorption_violations=violations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,18 +299,19 @@ def sample_blocks(params: ChainParams, num_samples: int, seed: int) -> BlockSamp
     probability beta.  The two counts of a sample are independent by the
     regenerative structure.
 
-    The blocks run on the coupled pair's engine, with the 0-block, the
-    1-block and done as its states 2, 3 and 0 and no step cap: the 0-block
-    ends at the first entry into 3, so xi_odd = varsigma - 1, and the
-    1-block at the first entry into 0, so xi_even = tau - varsigma - 1.
+    On the coupled pair's engine the 0-block, the 1-block and done are the
+    split pair, the state 3 and the state 0, so the blocks end at the first
+    entries into 3 and 0: xi_odd = varsigma - 1, xi_even = tau - varsigma - 1.
+
+    Raises ``ValueError`` naming alpha and beta where a sample's blocks last
+    2**62 steps, past safe int64 counts: only where alpha is below about 1e-17.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     a, b = params.alpha, params.beta
-    table = (
-        np.array([1.0, 0.0, 0.0, 1.0 - b]),
-        np.array([1.0, 0.0, a, 1.0]),
-        np.array([0, 0, 2, 3], dtype=np.int8),
-    )
-    varsigma, tau, _, _ = _first_passages(table, num_samples, seed, _PURPOSE_BLOCKS, math.inf)
+    # every state's leftover mass keeps it where it is
+    table = (np.array([1.0, 0.0, 0.0, 1.0 - b]), np.array([1.0, a, a, 1.0]), np.arange(4))
+    varsigma, tau, done, _ = _first_passages(table, num_samples, seed, _PURPOSE_BLOCKS, _MAX_STEPS)
+    if not done.all():
+        raise ValueError(f"alpha = {a!r}, beta = {b!r}: block counts reach 2**62, past int64")
     return BlockSamples(xi_odd=varsigma - 1, xi_even=tau - varsigma - 1)
