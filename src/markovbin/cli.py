@@ -157,27 +157,54 @@ def _stein(fit: NbFit | BinFit, target: Pmf, seed: int, subsets: int) -> _Check:
     return ok, lines
 
 
+def _rare(rate: float, count: int, samples: int, p: float, q: float) -> bool:
+    """Whether P(X >= count) < rate for X ~ Binomial(samples, p), q = 1 - p,
+    rate < 1/2.  A tail from samples * p or below holds the median, so it
+    is at least 1/2; past it the terms fall from the first, and are summed
+    until the total reaches ``rate`` or a geometric bound on the rest leaves
+    it short."""
+    if count <= samples * p:
+        return False
+    if p == 0.0:
+        return True
+    term = math.exp(
+        math.lgamma(samples + 1) - math.lgamma(count + 1) - math.lgamma(samples - count + 1)
+        + count * math.log(p) + (samples - count) * math.log(q)
+    )
+    total, j = 0.0, count
+    while total < rate:
+        total += term
+        ratio = (samples - j) / (j + 1) * (p / q)  # < 1 past the mean, 0 at j = samples
+        if total + term * ratio / (1.0 - ratio) < rate:
+            return True
+        term, j = term * ratio, j + 1
+    return False
+
+
 def _coupling(
     params: ChainParams, seed: int, samples: int, sigmas: float, varsigma_max: int, tau_max: int
 ) -> _Check:
     """Coupled runs: P(varsigma >= m) = |beta - alpha|^(m-1) for m <= varsigma_max
-    and P(tau >= m) <= max(alpha, beta)^(m-1) for m <= tau_max, each within
-    ``sigmas`` standard errors, and no move off the diagonal."""
+    and P(tau >= m) <= max(alpha, beta)^(m-1) for m <= tau_max, and no move
+    off the diagonal.  Each tail's count is tested against the exact binomial
+    law at its target, at the normal tail rate of ``sigmas``: two-sided for
+    varsigma, one-sided for tau.  A target of 0 or 1 fails on any count off
+    it."""
     runs = coupling_mod.sample_meeting_times(params, samples, seed)
+    side = 0.5 * math.erfc(sigmas / math.sqrt(2.0))  # the false-alarm rate of one side
     split = abs(params.beta - params.alpha)
     amax = max(params.alpha, params.beta)
     ok = runs.absorption_violations == 0
     lines = []
     for m in range(1, varsigma_max + 1):
         target = split ** (m - 1)
-        sigma = math.sqrt(target * (1.0 - target) / samples)
-        tail = runs.varsigma_tail(m)
-        ok = ok and abs(tail - target) <= sigmas * sigma + 1e-12
-        lines.append(f"P(varsigma >= {m}): empirical {tail:.6f} target {target:.6f}")
+        count = int(np.count_nonzero(runs.varsigma >= m))
+        low = _rare(side, samples - count, samples, 1.0 - target, target)  # P(X <= count)
+        ok = ok and not (low or _rare(side, count, samples, target, 1.0 - target))
+        lines.append(f"P(varsigma >= {m}): empirical {count / samples:.6f} target {target:.6f}")
     for m in range(1, tau_max + 1):
         cap = amax ** (m - 1)
-        sigma = math.sqrt(cap * (1.0 - cap) / samples)
-        ok = ok and runs.tau_tail(m) <= cap + sigmas * sigma + 1e-12
+        ok = ok and not _rare(side, int(np.count_nonzero(runs.tau >= m)), samples, cap, 1.0 - cap)
     lines.append(f"absorption violations: {runs.absorption_violations}")
     return ok, lines
 
@@ -227,9 +254,9 @@ def _mc_exact(params: ChainParams, n: int, samples: int, seed: int, tol: float) 
     return value <= tol, [f"TV(empirical, exact) = {value:.6g} with {samples} samples (tol {tol})"]
 
 
-# Sweep budgets.  A sweep runs every check on every row, so its coupling test
-# is coarser than verify's (5 sigma, varsigma tails for m <= 4, no tau test)
-# to keep a whole grid from failing by chance.
+# Sweep budgets.  The coupling check runs once per (alpha, beta) at 5 sigma
+# on the varsigma tails for m <= 4, with no tau test: a false-alarm rate of
+# erfc(5 / sqrt 2) = 5.7e-7 per tail, at most 4 * 5.7e-7 per pair.
 _SWEEP_STEIN_SUBSETS = 20
 _SWEEP_COUPLING = (20_000, 5.0, 4, 0)  # samples, sigmas, largest m of varsigma and tau tails
 
@@ -273,8 +300,10 @@ def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
     """Evaluate the whole grid and write the report file.
 
     Each (alpha, beta) takes its exact laws from one DP pass per start state
-    (``_sweep_laws``), so the rows of all its n share them; every row is
-    the one its point gives on its own.
+    (``_sweep_laws``), so the rows of all its n share them.  The coupling
+    check reads only (alpha, beta): it runs once per pair, on the seed of the
+    pair's first row, and every row of the pair carries its verdict.  Every
+    other column of a row is the one its point gives on its own.
     """
     rows = []
     index = 0
@@ -282,15 +311,18 @@ def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
         for beta in config.beta_grid:
             params = ChainParams(alpha, beta)
             laws = _sweep_laws(params, config)
+            if "coupling" in config.checks:
+                pair_seed = _row_seed(config.seed, index)
+                coupling = _verdict(_coupling(params, pair_seed, *_SWEEP_COUPLING))
             for n in config.n_list:
                 row, fit, reference = _point_row(params, n, lambda: laws["stationary"][n])
-                seed = _row_seed(config.seed, index)
                 if "bounds" in config.checks:
                     row["check_bounds"] = _verdict(_check_bounds(row))
                 if "stein" in config.checks:
+                    seed = _row_seed(config.seed, index)
                     row["check_stein"] = _verdict(_sweep_stein(fit, reference, seed))
                 if "coupling" in config.checks:
-                    row["check_coupling"] = _verdict(_coupling(params, seed, *_SWEEP_COUPLING))
+                    row["check_coupling"] = coupling
                 if "lemma21" in config.checks:
                     row["check_lemma21"] = _verdict(_lemma21(params, n, laws["state0"][n]))
                 if "lemma24" in config.checks:
@@ -443,7 +475,8 @@ def _stein_suite(fit_for: Callable) -> Callable:
 
 
 # Verify budgets: one suite runs at the budget given on the command line;
-# the coupling test is 4 sigma on varsigma tails for m <= 6, tau tails m <= 8.
+# the coupling test is 4 sigma on varsigma tails for m <= 6 (6.3e-5 per tail)
+# and on tau tails for m <= 8 (one-sided, 3.2e-5 per tail).
 _VERIFY_COUPLING = (4.0, 6, 8)  # sigmas, largest m of the varsigma and tau tails
 _POINT = ("alpha", "beta", "n")
 _EXACT_SUITES = ("bounds", "mc-exact", "lemma21", "lemma24")  # they need the exact law at --n

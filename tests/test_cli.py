@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -373,6 +374,14 @@ class TestVerifyCommand:
              "--samples", "100000", "--seed", "1"]
         ) == 0
 
+    def test_coupling_single_sample_in_small_target(self):
+        # one sample has varsigma >= 6 where the target is 5.6e-8: a 4-sigma
+        # normal bound fails it, the exact binomial tail at the same rate does not
+        assert run(
+            ["verify", "coupling", "--alpha", "0.3", "--beta", "0.33540095339517517",
+             "--seed", "10"]
+        ) == 0
+
     def test_mc_exact_small_run(self):
         assert run(
             ["verify", "mc-exact", "--alpha", "0.3", "--beta", "0.6", "--n", "50",
@@ -610,9 +619,11 @@ def test_evaluate_point_matches_public_composition():
     assert {row["status"] for row in rows} == {"ok", "degenerate_fit"}
 
 
-def _unshared_row(params, n, seed, checks):
+def _unshared_row(params, n, seed, coupling_seed, checks):
     """The sweep row built the unshared way: ``evaluate_point``, then each
-    check called on its own with laws computed for that point alone."""
+    check called on its own with laws computed for that point alone.  The
+    coupling check runs on ``coupling_seed``, the seed of the first row of
+    the point's (alpha, beta)."""
     from markovbin.cli import (
         _SWEEP_COUPLING, _check_bounds, _coupling, _lemma21, _lemma24, _sweep_indices,
         _sweep_stein, _verdict,
@@ -632,7 +643,7 @@ def _unshared_row(params, n, seed, checks):
         reference = None if fit is None else _reference(fit)
         row["check_stein"] = _verdict(_sweep_stein(fit, reference, seed))
     if "coupling" in checks:
-        row["check_coupling"] = _verdict(_coupling(params, seed, *_SWEEP_COUPLING))
+        row["check_coupling"] = _verdict(_coupling(params, coupling_seed, *_SWEEP_COUPLING))
     if "lemma21" in checks:
         row["check_lemma21"] = _verdict(_lemma21(params, n, exact_pmf(params, n, "state0")))
     if "lemma24" in checks:
@@ -652,17 +663,81 @@ def _assert_sweep_matches_unshared(tmp_path, alphas, betas, ns, checks, seed=9):
     points = [(ChainParams(a, b), n) for a in alphas for b in betas for n in ns]
     assert len(rows) == len(points)
     for index, (row, (params, n)) in enumerate(zip(rows, points)):
-        wanted = _unshared_row(params, n, _row_seed(seed, index), checks)
+        first = index - index % len(ns)  # the first row of the point's (alpha, beta)
+        wanted = _unshared_row(params, n, _row_seed(seed, index), _row_seed(seed, first), checks)
         # repr keeps key order, int-vs-float and every bit of each float
         assert repr(row) == repr(wanted), (params, n)
     return rows
 
 
 class TestSweepEngine:
-    """``run_sweep`` shares one DP pass per start state across the rows of
-    each (alpha, beta); every row must equal the one its point gives alone."""
+    """``run_sweep`` shares one DP pass per start state and one coupling check
+    across the rows of each (alpha, beta); every row must equal the one its
+    point gives alone, with the coupling check on the pair's first row seed."""
 
     ALL = ("bounds", "stein", "coupling", "lemma21", "lemma24")
+    GRID = (0.1, 0.8), (0.35, 0.45, 0.55)  # the benchmark's sweep-grid centres
+
+    @pytest.mark.parametrize(
+        "ns,checks,calls",
+        [
+            ((12, 25, 50, 100, 175, 250), ALL, 6),
+            ((25, 3, 25, 1), ("coupling",), 6),
+            ((12, 25, 50, 100, 175, 250), ("bounds", "stein", "lemma21", "lemma24"), 0),
+        ],
+        ids=["sweep-grid", "repeated-n", "no-coupling"],
+    )
+    def test_one_coupling_run_per_pair(self, tmp_path, monkeypatch, ns, checks, calls):
+        from markovbin import coupling as coupling_mod
+        from markovbin.cli import _SWEEP_COUPLING, _coupling, _row_seed, _verdict
+
+        seeds, sample = [], coupling_mod.sample_meeting_times
+
+        def counting(params, num_samples, seed):
+            seeds.append(seed)
+            return sample(params, num_samples, seed)
+
+        monkeypatch.setattr(coupling_mod, "sample_meeting_times", counting)
+        config = SweepConfig(
+            alpha_grid=self.GRID[0], beta_grid=self.GRID[1], n_list=ns, checks=checks,
+            seed=3, output_path=str(tmp_path / "sweep.csv"),
+        )
+        rows = run_sweep(config)
+        firsts = range(0, len(rows), len(ns)) if calls else ()
+        assert seeds == [_row_seed(3, first) for first in firsts]
+        for first in firsts:
+            params = ChainParams(rows[first]["alpha"], rows[first]["beta"])
+            verdict = _verdict(_coupling(params, _row_seed(3, first), *_SWEEP_COUPLING))
+            pair = rows[first:first + len(ns)]
+            assert [row["check_coupling"] for row in pair] == [verdict] * len(ns)
+
+    def test_failed_pair_fails_its_rows(self, tmp_path, monkeypatch):
+        import markovbin.cli as cli
+
+        check = cli._coupling
+
+        def failing(params, *args):
+            ok, lines = check(params, *args)
+            return (False if params == ChainParams(0.8, 0.45) else ok), lines
+
+        monkeypatch.setattr(cli, "_coupling", failing)
+        config = SweepConfig(
+            alpha_grid=self.GRID[0], beta_grid=self.GRID[1], n_list=(12, 25, 50, 100, 175, 250),
+            checks=("coupling",), seed=3, output_path=str(tmp_path / "sweep.csv"),
+        )
+        # pairs in row order: (0.1, 0.35), (0.1, 0.45), (0.1, 0.55), (0.8, 0.35), (0.8, 0.45), ...
+        verdicts = [row["check_coupling"] for row in run_sweep(config)]
+        assert verdicts == ["pass"] * 24 + ["fail"] * 6 + ["pass"] * 6
+
+    def test_coupling_single_sample_in_small_target(self, tmp_path):
+        # at the pair's seed one sample has varsigma >= 4 where the target is
+        # 1.85e-6: a 5-sigma normal bound fails it, the exact binomial tail does not
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--alphas", "0.3", "--betas", "0.312274839118196247", "--ns", "5",
+                "--checks", "coupling", "--seed", "13", "--output", str(out)]
+        assert run(argv) == 0
+        with open(out) as handle:
+            assert [row["check_coupling"] for row in csv.DictReader(handle)] == ["pass"]
 
     def test_unsorted_repeated_n_both_regimes(self, tmp_path):
         # both regimes, equal rates at (0.1, 0.1) and (0.4, 0.4), and the
@@ -772,3 +847,111 @@ class TestSweepEngine:
         # state-1 pass to n - 1 = 249, counting each pass's start state
         assert len(passes) == 3 * 6
         assert sum(passes) == 6 * (251 + 251 + 250) == 4512
+
+
+def _normal_fails(runs, params, samples, sigmas, varsigma_max, tau_max):
+    """Whether the normal-approximation rule fails ``runs``: a tail more than
+    ``sigmas`` standard errors off its target (two-sided for varsigma,
+    one-sided for tau).  The exact rule's power is measured against it."""
+    split, amax = abs(params.beta - params.alpha), max(params.alpha, params.beta)
+    for m in range(1, varsigma_max + 1):
+        target = split ** (m - 1)
+        sigma = math.sqrt(target * (1.0 - target) / samples)
+        if abs(runs.varsigma_tail(m) - target) > sigmas * sigma + 1e-12:
+            return True
+    for m in range(1, tau_max + 1):
+        cap = amax ** (m - 1)
+        if runs.tau_tail(m) > cap + sigmas * math.sqrt(cap * (1.0 - cap) / samples) + 1e-12:
+            return True
+    return False
+
+
+class TestCouplingRule:
+    """The coupling check tests each tail's count against the exact binomial
+    law at its target, at the normal tail rate of its sigmas per side."""
+
+    @staticmethod
+    def _side(sigmas):
+        return 0.5 * math.erfc(sigmas / math.sqrt(2.0))
+
+    @pytest.mark.parametrize("sigmas", [4.0, 5.0])
+    @pytest.mark.parametrize("samples", [1, 5, 20_000, 1_000_000])
+    @pytest.mark.parametrize(
+        "p", [0.0, 1e-300, 5.6e-8, 1.85e-6, 0.012274839118196247, 0.25, 0.5, 0.75, 1 - 1e-9, 1.0]
+    )
+    def test_rare_is_scipy_binomial_tail(self, sigmas, samples, p):
+        # the reference: scipy's bdtr (P(X <= k)) and bdtrc (P(X > k)), at
+        # every count within 12 standard deviations of the mean, and 0 and N
+        from scipy.special import bdtr, bdtrc
+
+        from markovbin.cli import _rare
+
+        side, q = self._side(sigmas), 1.0 - p
+        spread = 12.0 * math.sqrt(samples * p * q) + 2.0
+        low, high = max(0, int(samples * p - spread)), min(samples, int(samples * p + spread))
+        counts = np.unique(np.r_[0, np.arange(low, high + 1), samples])
+        upper = np.where(counts > 0, bdtrc(counts - 1, samples, p), 1.0) < side
+        lower = bdtr(counts, samples, p) < side
+        assert [_rare(side, int(c), samples, p, q) for c in counts] == upper.tolist()
+        assert [_rare(side, samples - int(c), samples, q, p) for c in counts] == lower.tolist()
+
+    def test_targets_zero_and_one_fail_off_them(self, monkeypatch):
+        # equal rates: P(varsigma >= 1) = 1 and P(varsigma >= m) = 0 past it
+        import markovbin.cli as cli
+        from markovbin.cli import _SWEEP_COUPLING, _coupling
+        from markovbin.coupling import MeetingSamples
+
+        at_one = np.ones(_SWEEP_COUPLING[0], dtype=np.int64)
+        for varsigma, ok in ((at_one, True), (np.r_[2, at_one[1:]], False),
+                             (np.r_[0, at_one[1:]], False)):
+            runs = MeetingSamples(varsigma, varsigma, np.zeros(varsigma.size, bool), 0)
+            monkeypatch.setattr(cli.coupling_mod, "sample_meeting_times", lambda *args: runs)
+            assert _coupling(ChainParams(0.4, 0.4), 0, *_SWEEP_COUPLING)[0] is ok
+
+    @pytest.mark.parametrize("alpha", (0.1, 0.8))
+    @pytest.mark.parametrize("beta", (0.35, 0.45, 0.55))
+    @pytest.mark.parametrize("budget", ["sweep", "verify"])
+    def test_regions_near_normal_rule(self, alpha, beta, budget):
+        # at the benchmark's sweep-grid centres each tail's exact acceptance
+        # region lies within 5 counts of the normal rule's
+        import bisect
+
+        from markovbin.cli import _SWEEP_COUPLING, _VERIFY_COUPLING, _rare
+
+        samples, sigmas, varsigma_max, tau_max = (
+            _SWEEP_COUPLING if budget == "sweep" else (1_000_000, *_VERIFY_COUPLING)
+        )
+        side, counts = self._side(sigmas), range(samples + 1)
+        split, amax = abs(beta - alpha), max(alpha, beta)
+        tails = [(split ** (m - 1), True) for m in range(2, varsigma_max + 1)]
+        tails += [(amax ** (m - 1), False) for m in range(2, tau_max + 1)]
+        for target, two_sided in tails:
+            half = sigmas * math.sqrt(target * (1.0 - target) / samples) + 1e-12
+            normal_high = math.floor((target + half) * samples)
+            high = bisect.bisect_left(
+                counts, True, key=lambda c: _rare(side, c, samples, target, 1.0 - target)
+            ) - 1
+            assert abs(high - normal_high) <= 5, (target, high, normal_high)
+            if two_sided:
+                normal_low = math.ceil((target - half) * samples)
+                low = bisect.bisect_left(
+                    counts, True,
+                    key=lambda c: not _rare(side, samples - c, samples, 1.0 - target, target),
+                )
+                assert abs(low - normal_low) <= 5, (target, low, normal_low)
+
+    @pytest.mark.parametrize("budget", ["sweep", "verify"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_perturbed_kernel_fails(self, monkeypatch, budget, seed):
+        # the sampler runs the kernel of beta + 0.02, the check targets beta:
+        # P(varsigma >= 2) is 0.27 against 0.25, which the normal rule fails
+        # at 20 000 samples and at 1e6, and so must the exact rule
+        import markovbin.cli as cli
+        from markovbin.cli import _SWEEP_COUPLING, _VERIFY_COUPLING, _coupling
+
+        budget = _SWEEP_COUPLING if budget == "sweep" else (1_000_000, *_VERIFY_COUPLING)
+        params, sample = ChainParams(0.1, 0.35), cli.coupling_mod.sample_meeting_times
+        runs = sample(ChainParams(0.1, 0.37), budget[0], seed)
+        assert _normal_fails(runs, params, *budget)
+        monkeypatch.setattr(cli.coupling_mod, "sample_meeting_times", lambda *args: runs)
+        assert _coupling(params, seed, *budget)[0] is False
