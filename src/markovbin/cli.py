@@ -24,7 +24,7 @@ from . import bounds as bounds_mod
 from . import coupling as coupling_mod
 from . import stein as stein_mod
 from .core import (
-    MAX_EXACT_N, ChainParams, Pmf, _pass_snapshots, exact_pmf, moments_closed_form, shift_tv,
+    MAX_EXACT_N, ChainParams, Pmf, _exact_laws, exact_pmf, moments_closed_form, shift_tv,
     tv_distance,
 )
 from .fit import (
@@ -281,29 +281,33 @@ def _sweep_indices(n: int) -> list[int]:
 
 def _sweep_laws(params: ChainParams, config: SweepConfig) -> dict[str, dict[int, Pmf]]:
     """Every exact law the rows of one (alpha, beta) read, keyed by start
-    and number of steps, from one DP pass per start state to the largest
-    number of steps that start needs: the law of S for every n, the sum
-    out of state 0 for ``lemma21`` and, for ``lemma24``, the segment laws
-    out of either state of the checked indices (``stein._lemma24_steps``).
-    They take about 6n doubles per n in the list.
+    and number of steps, from one DP pass that steps up to three start
+    states together to the largest number of steps any of them needs: the
+    law of S for every n, the sum out of state 0 for ``lemma21`` and, for
+    ``lemma24``, the segment laws out of either state of the checked
+    indices (``stein._lemma24_steps``).  Each start keeps its laws in one
+    stack, one row per number of steps padded to the largest n, up to ten
+    rows per n in the list.
     """
     sums = set(config.n_list)
     segments = set()
     if "lemma24" in config.checks:
-        segments = {k for n in sums for k in stein_mod._lemma24_steps(n, _sweep_indices(n))}
+        for n in sums:
+            segments |= stein_mod._lemma24_steps(n, stein_mod._lemma24_sides(n, _sweep_indices(n)))
     lemma21 = sums if "lemma21" in config.checks else set()
     steps = {"stationary": sums, "state0": lemma21 | segments, "state1": segments}
-    return {start: _pass_snapshots(params, start, ks) for start, ks in steps.items() if ks}
+    return _exact_laws(params, {start: ks for start, ks in steps.items() if ks})
 
 
 def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
     """Evaluate the whole grid and write the report file.
 
-    Each (alpha, beta) takes its exact laws from one DP pass per start state
-    (``_sweep_laws``), so the rows of all its n share them.  The coupling
-    check reads only (alpha, beta): it runs once per pair, on the seed of the
-    pair's first row, and every row of the pair carries its verdict.  Every
-    other column of a row is the one its point gives on its own.
+    Each (alpha, beta) takes its exact laws from one DP pass of all its
+    start states (``_sweep_laws``), so the rows of all its n share them.
+    The coupling check reads only (alpha, beta): it runs once per pair, on
+    the seed of the pair's first row, and every row of the pair carries its
+    verdict.  Every other column of a row is the one its point gives on its
+    own.
     """
     rows = []
     index = 0
@@ -326,7 +330,8 @@ def run_sweep(config: SweepConfig) -> list[dict[str, Any]]:
                 if "lemma21" in config.checks:
                     row["check_lemma21"] = _verdict(_lemma21(params, n, laws["state0"][n]))
                 if "lemma24" in config.checks:
-                    reports = stein_mod._lemma24_from_laws(params, n, laws, _sweep_indices(n))
+                    sides = stein_mod._lemma24_sides(n, _sweep_indices(n))
+                    reports = stein_mod._lemma24_from_laws(params, n, laws, sides)
                     row["check_lemma24"] = _verdict(_lemma24(reports))
                 rows.append(row)
                 index += 1

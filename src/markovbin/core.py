@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,9 +49,6 @@ _EPS = float(np.finfo(float).eps)
 # Largest relative rounding error ``moments_closed_form`` accepts from its
 # cancelling closed form before it switches to the covariance sum.
 _MOMENT_RTOL = 1e-12
-
-# State of the exact DP after a step: f0, f1, lo, hi, tail (see ``_dp_pass``).
-_DpState = tuple[np.ndarray, np.ndarray, int, int, float]
 
 
 @dataclass(frozen=True)
@@ -131,26 +128,29 @@ class Pmf:
         object.__setattr__(self, "mass", mass)
         if mass.ndim != 1 or mass.size == 0:
             raise ValueError("mass must be a non-empty 1-d sequence")
-        _check_laws(mass, (self.tail,), self.tol)
+        _check_laws(mass, (self.tail,), (self.tol,))
 
     def __len__(self) -> int:
         return int(self.mass.size)
 
 
-def _check_laws(mass: np.ndarray, tails: Sequence[float], tol: float) -> None:
+def _check_laws(mass: np.ndarray, tails: Sequence[float], tols: Sequence[float]) -> None:
     """Raise ``ValueError`` unless each law along the last axis of ``mass``,
-    with its entry of ``tails`` (one per law, in row order), is a law within
-    ``tol``: finite, non-negative masses, a tail in [0, 1), and mass + tail
-    within ``tol`` of 1.  This is the one definition of the check: a ``Pmf``
-    passes its one law, a stack of laws is checked in one call, and each law
-    sums its masses as ``mass.sum()`` of that law alone would."""
-    nonnegative = bool((mass >= 0.0).all())  # NaN fails the comparison
+    with its entries of ``tails`` and ``tols`` (one per law, in row order),
+    is a law within its tolerance: finite, non-negative masses, a tail in
+    [0, 1), and mass + tail within the tolerance of 1.  This is the one
+    definition of the check: a ``Pmf`` passes its one law, and a stack of
+    laws is checked in one call.  Each row is summed whole by numpy's
+    pairwise sum, so a law padded with zeros to the width of its stack may
+    sum to a last bit other than ``mass.sum()`` of the law alone; the
+    pairwise sum's O(log2 n) roundings are within ``_exact_tol`` either way."""
+    nonnegative = bool(mass.min() >= 0.0)  # a NaN entry is the minimum and fails
     sums = mass.sum(axis=-1, keepdims=True).ravel().tolist() if nonnegative else []
     # an infinite mass makes its law's sum infinite, and only then are the
     # entries tested one by one
     if not nonnegative or (math.inf in sums and not np.isfinite(mass).all()):
         raise ValueError("mass entries must be finite and non-negative")
-    for mass_sum, tail in zip(sums, tails, strict=True):
+    for mass_sum, tail, tol in zip(sums, tails, tols, strict=True):
         if not (0.0 <= tail < 1.0):
             raise ValueError(f"tail mass out of range: {tail!r}")
         total = mass_sum + tail
@@ -190,75 +190,110 @@ def _exact_tol(n: int) -> float:
     return max(PMF_TOL, 2.0 * (n + 1) * _EPS)
 
 
-def _dp_pass(params: ChainParams, n: int, start: str) -> Iterator[_DpState]:
-    """Run the windowed exact DP for n steps, yielding its state after each
-    step k = 0..n as ``(f0, f1, lo, hi, tail)``.
+def _exact_laws(params: ChainParams, wanted: dict[str, Iterable[int]]) -> dict[str, dict[int, Pmf]]:
+    """The exact law of the k-step sum for every start and every k in its
+    entry of ``wanted`` (k = 0 gives the law of the empty sum), keyed by
+    start and k, from one pass of the windowed DP (see ``exact_pmf``) that
+    steps every start to the largest k any start wants.  This is the one
+    source of exact laws.
 
-    ``f0[lo:hi] + f1[lo:hi]`` are the masses of the partial sums lo..hi-1
-    (every other partial sum reads 0) and ``tail`` is the mass dropped so
-    far.  The arrays are the live buffers, overwritten by the next step, so a
-    caller copies what it keeps before it resumes the generator.  Every
-    operation acts on the window alone and the cut after a step depends only
-    on the masses after that step, so the state after k steps does not
-    depend on how many steps the pass goes on to run: it is the state that a
-    k-step pass ends in, bit for bit.
+    The R starts step together, interleaved in flat buffers: the mass of
+    partial sum j under start r sits at index (j + 1) * R + r.  Each of a
+    step's six array operations then covers the union of the starts' windows
+    as one contiguous block, and a lone start is the plain windowed DP.
+    Each start keeps its own window and tail, and its entries outside its
+    window are exactly 0: an edge entry it drops is set to 0.  As ``x + 0``
+    and ``0 * c`` are exact, every start's masses and tail are those of a
+    pass of that start alone, bit for bit, and its state after k steps does
+    not depend on how many steps the pass goes on to run.
+
+    Each start writes its laws into one zero-filled stack, one row per
+    wanted k padded to its largest k, which one ``_check_laws`` call checks
+    with each row's own tolerance ``_exact_tol(k)``.  The laws handed out
+    are the row views ``stack[row, :k + 1]``.
     """
-    init = _initial_law(params, start)
-    a, b = params.alpha, params.beta
-    a0, b0 = 1.0 - a, 1.0 - b
-
-    # f0[k], f1[k]: probability of (partial sum k, current state 0 or 1), live
-    # on the half-open window lo..hi; entries outside it are never read.
-    f0 = np.zeros(n + 1)
-    f1 = np.zeros(n + 1)
-    g0 = np.zeros(n + 1)
-    g1 = np.zeros(n + 1)
-    scratch = np.empty(n + 1)
-    f0[0] = init[0]
-    f1[0] = init[1]
-    lo, hi = 0, 1
-    tail = 0.0
-    yield f0, f1, lo, hi, tail
-    for _ in range(n):
-        src0, src1, tmp = f0[lo:hi], f1[lo:hi], scratch[lo:hi]
-        dst0, dst1 = g0[lo:hi], g1[lo + 1 : hi + 1]
-        np.multiply(src0, a0, out=dst0)
-        np.multiply(src1, b0, out=tmp)
-        np.add(dst0, tmp, out=dst0)
-        np.multiply(src0, a, out=dst1)
-        np.multiply(src1, b, out=tmp)
-        np.add(dst1, tmp, out=dst1)
-        g0[hi] = 0.0
-        g1[lo] = 0.0
-        hi += 1
-        f0, g0 = g0, f0
-        f1, g1 = g1, f1
-        # The total mass is about 1, so both scans stop at the largest entry.
-        while (edge := f0[lo] + f1[lo]) < _TINY:
-            tail += edge
-            lo += 1
-        while (edge := f0[hi - 1] + f1[hi - 1]) < _TINY:
-            tail += edge
-            hi -= 1
-        yield f0, f1, lo, hi, tail
-
-
-def _pass_snapshots(params: ChainParams, start: str, steps: Iterable[int]) -> dict[int, Pmf]:
-    """The exact law of the k-step sum for every k in ``steps``, from one DP
-    pass to the largest k (k = 0 gives the law of the empty sum).  This is
-    the one source of exact laws: its state after k steps is the one a
-    k-step pass ends in, bit for bit and tail included (see ``_dp_pass``)."""
-    wanted = set(steps)
-    top = max(wanted)
+    steps = {start: sorted(set(ks)) for start, ks in wanted.items()}
+    top = max(ks[-1] for ks in steps.values())
     if top > MAX_EXACT_N:
         raise ValueError(f"n={top} exceeds MAX_EXACT_N={MAX_EXACT_N}")
+    starts = list(wanted)
+    width = len(starts)
+    # the coefficients as 0-d arrays, which a ufunc takes with less overhead
+    # than floats, for the same products
+    a, b = params.alpha, params.beta
+    a, b, a0, b0 = (np.array(c) for c in (a, b, 1.0 - a, 1.0 - b))
+
+    # f0[(j + 1) * width + r], f1[...]: mass of (partial sum j, start r) with
+    # current state 0 or 1, live on the union window lo..hi of indices.  The
+    # first block stays 0, and a start's entries outside its window are 0 in
+    # both pairs of buffers (a dropped entry is zeroed in both), so a step
+    # reads one block past the window on either side and writes every entry
+    # of the next window; entries past those blocks are never read.
+    size = (top + 2) * width
+    f0, f1, g0, g1 = (np.zeros(size) for _ in range(4))
+    scratch = np.empty(size)
+    for r, start in enumerate(starts):
+        f0[width + r], f1[width + r] = _initial_law(params, start)
+    lo, hi = width, 2 * width
+    # first and last live index of each start, and its dropped mass
+    first, last = list(range(width, 2 * width)), list(range(width, 2 * width))
+    tails = [0.0] * width
+    stacks = [np.zeros((len(steps[start]), steps[start][-1] + 1)) for start in starts]
+    emits: dict[int, list[tuple[int, int]]] = {}
+    for r, start in enumerate(starts):
+        for row, k in enumerate(steps[start]):
+            emits.setdefault(k, []).append((r, row))
+    row_tails: list[list[float]] = [[] for _ in starts]
+    for k in range(top + 1):
+        if k:
+            src0, src1 = f0[lo : hi + width], f1[lo : hi + width]
+            low0, low1 = f0[lo - width : hi], f1[lo - width : hi]
+            dst0, dst1, tmp = g0[lo : hi + width], g1[lo : hi + width], scratch[lo : hi + width]
+            np.multiply(src0, a0, out=dst0)
+            np.multiply(src1, b0, out=tmp)
+            np.add(dst0, tmp, out=dst0)
+            np.multiply(low0, a, out=dst1)
+            np.multiply(low1, b, out=tmp)
+            np.add(dst1, tmp, out=dst1)
+            f0, g0 = g0, f0
+            f1, g1 = g1, f1
+            # The total mass of a start is about 1, so both scans stop at its
+            # largest entry.
+            for r in range(width):
+                j = first[r]
+                while (edge := f0[j] + f1[j]) < _TINY:
+                    tails[r] += edge
+                    f0[j] = f1[j] = g0[j] = g1[j] = 0.0
+                    j += width
+                first[r] = j
+                j = last[r] + width
+                while (edge := f0[j] + f1[j]) < _TINY:
+                    tails[r] += edge
+                    f0[j] = f1[j] = g0[j] = g1[j] = 0.0
+                    j -= width
+                last[r] = j
+            lo, hi = min(first) // width * width, (max(last) // width + 1) * width
+        for r, row in emits.get(k, ()):
+            live = slice(first[r], last[r] + 1, width)
+            np.add(f0[live], f1[live], out=stacks[r][row, first[r] // width - 1 : last[r] // width])
+            row_tails[r].append(float(tails[r]))
     laws = {}
-    for k, (f0, f1, lo, hi, tail) in enumerate(_dp_pass(params, top, start)):
-        if k in wanted:
-            mass = np.zeros(k + 1)
-            np.add(f0[lo:hi], f1[lo:hi], out=mass[lo:hi])
-            laws[k] = Pmf(mass, tail=float(tail), tol=_exact_tol(k))
+    for start, stack, start_tails in zip(starts, stacks, row_tails):
+        tols = [_exact_tol(k) for k in steps[start]]
+        _check_laws(stack, start_tails, tols)
+        laws[start] = {
+            k: _checked_pmf(stack[row, : k + 1], tail, tol)
+            for row, (k, tail, tol) in enumerate(zip(steps[start], start_tails, tols))
+        }
     return laws
+
+
+def _checked_pmf(mass: np.ndarray, tail: float, tol: float) -> Pmf:
+    """A ``Pmf`` of a law that has already passed ``_check_laws`` as a row of
+    its stack, built without checking it again."""
+    law = object.__new__(Pmf)
+    law.__dict__.update(mass=mass, tail=tail, tol=tol)
+    return law
 
 
 def exact_pmf(params: ChainParams, n: int, start: str = "stationary") -> Pmf:
@@ -283,14 +318,14 @@ def exact_pmf(params: ChainParams, n: int, start: str = "stationary") -> Pmf:
     are dropped and ``tail`` stays below n + 1 times the smallest normal
     double.  The cost is O(n * width) time, at most O(n^2), and O(n) memory.
 
-    The result is the last state of one pass of the DP (``_pass_snapshots``);
-    the state that pass holds after k < n steps is ``exact_pmf(params, k,
-    start)`` to the last bit, tail included, which lets one pass serve every
-    shorter sum.
+    This is the one-start, one-step case of ``_exact_laws``.  Its pass holds
+    ``exact_pmf(params, k, start)`` after k < n steps, to the last bit and
+    tail included, whichever other starts step with it, so one pass serves
+    every shorter sum of every start.
     """
     if n < 1:
         raise ValueError("n must be >= 1 (the empty sum is not defined here)")
-    return _pass_snapshots(params, start, [n])[n]
+    return _exact_laws(params, {start: [n]})[start][n]
 
 
 def exact_conditional_pmf(params: ChainParams, n: int, i: int, j: int) -> Pmf:
@@ -311,7 +346,8 @@ def exact_conditional_pmf(params: ChainParams, n: int, i: int, j: int) -> Pmf:
         raise ValueError(f"index i={i} out of range 1..{n}")
     if j not in (0, 1):
         raise ValueError(f"state j must be 0 or 1, got {j!r}")
-    laws = _pass_snapshots(params, "state1" if j == 1 else "state0", (i - 1, n - i))
+    start = "state1" if j == 1 else "state0"
+    laws = _exact_laws(params, {start: (i - 1, n - i)})[start]
     left, right = laws[i - 1], laws[n - i]
     return Pmf(np.convolve(left.mass, right.mass), tail=left.tail + right.tail, tol=_exact_tol(n))
 

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bounds import bound_constants, gamma_fn
-from .core import ChainParams, Pmf, _check_laws, _exact_tol, _pass_snapshots, exact_pmf
+from .core import ChainParams, Pmf, _check_laws, _exact_laws, _exact_tol
 from .fit import NbFit, _reference, binomial_pmf, fit_negative_binomial, nb_pmf, poisson_pmf
 
 __all__ = [
@@ -46,9 +46,10 @@ __all__ = [
 _STEIN_TOL = 1e-9  # the one Stein tolerance (residuals, bound slack), for solver rounding
 _LEMMA24_TOL = 1e-12  # slack on the Lemma 2.4 inequalities, for exact-law rounding
 _BINOMIAL_EXTEND = 64  # how far past m binomial Stein solutions are tabulated
-# Doubles of segment laws one round of ``_lemma24_reports`` keeps per start
-# state (32 MB).  Every side at sum length n keeps about n^2/2 of them, which
-# is 40 GB per state at MAX_EXACT_N, so larger index sets take more rounds.
+# Doubles of the segment-law stack one round of ``_lemma24_reports`` keeps per
+# start state (32 MB).  A side takes two rows of at most n doubles, so every
+# side at sum length n takes about n^2 of them, which is 80 GB per state at
+# MAX_EXACT_N, and larger index sets take more rounds.
 _KEPT_DOUBLES = 1 << 22
 # Doubles in one stack of conditional laws in ``_lemma24_from_laws`` (256 kB),
 # one row per side.  A block of sides then fits in L2, every index up to
@@ -355,7 +356,7 @@ def verify_lemma24(params: ChainParams, n: int, i: int) -> Lemma24Report:
     second over the threshold-probe family, a necessary-condition check since
     the supremum over all bounded test functions is not computable.  This is
     the one-index case of ``_lemma24_reports``, which serves many indices of
-    one (params, n) for the cost of about one DP pass per state.
+    one (params, n) for the cost of about one DP pass.
     """
     return _lemma24_reports(params, n, [i])[i]
 
@@ -365,22 +366,30 @@ def _lemma24_reports(
 ) -> dict[int, Lemma24Report]:
     """Lemma 2.4 reports for each index, keyed by index in ascending order.
 
-    The law of S takes one DP pass, and each round of sides one pass out of
-    each state, keeping n + 1 doubles per side and at most ``_KEPT_DOUBLES``
-    per state until the next round.  Up to n of about 2 900 every index fits
-    in one round, so the cost is about 3n DP steps plus the convolutions
-    (O(n^3/12) multiply-adds for every index).
+    Each round of sides takes one DP pass (``core._exact_laws``) that steps
+    the starts ``state1`` and ``state0``, and in the first round also
+    ``stationary`` for the law of S, together.  A round's segment laws stay
+    in one stack per state, two rows of at most n doubles per side and at
+    most ``_KEPT_DOUBLES`` doubles per stack, until the next round; each
+    stack is checked once.  Up to n of about 2 000 every index fits in one
+    round, so the cost is about n DP steps of three starts plus the
+    convolutions (O(n^3/12) multiply-adds for every index).
     """
-    law_s = {n: exact_pmf(params, n)}
-    sides = list(_lemma24_sides(n, indices).values())
-    per_round = max(1, _KEPT_DOUBLES // (n + 1))
+    sides = _lemma24_sides(n, indices)
+    order = list(sides)
+    per_round = max(1, _KEPT_DOUBLES // (2 * n))
+    law_s: dict[int, Pmf] = {}  # the law of S, from the first round's pass
     reports = {}
-    for first in range(0, len(sides), per_round):
-        batch = [i for group in sides[first : first + per_round] for i in group]
+    for first in range(0, len(order), per_round):
+        batch = {s: sides[s] for s in order[first : first + per_round]}
         steps = _lemma24_steps(n, batch)
-        laws = {start: _pass_snapshots(params, start, steps) for start in ("state1", "state0")}
-        reports.update(_lemma24_from_laws(params, n, {"stationary": law_s, **laws}, batch))
-        del laws  # before the next round's passes
+        wanted = {"state1": steps, "state0": steps}
+        if not law_s:
+            wanted["stationary"] = [n]
+        laws = {"stationary": law_s, **_exact_laws(params, wanted)}
+        law_s = laws["stationary"]
+        reports.update(_lemma24_from_laws(params, n, laws, batch))
+        del laws  # before the next round's pass
     return dict(sorted(reports.items()))
 
 
@@ -399,19 +408,20 @@ def _lemma24_sides(n: int, indices: Iterable[int]) -> dict[int, list[int]]:
     return dict(sorted(sides.items()))
 
 
-def _lemma24_steps(n: int, indices: Iterable[int]) -> set[int]:
-    """The numbers of steps of every segment law the indices read."""
-    return {k for s in _lemma24_sides(n, indices) for k in (s, n - 1 - s)}
+def _lemma24_steps(n: int, sides: Iterable[int]) -> set[int]:
+    """The numbers of steps of every segment law the sides read."""
+    return {k for s in sides for k in (s, n - 1 - s)}
 
 
 def _lemma24_from_laws(
-    params: ChainParams, n: int, laws: dict[str, dict[int, Pmf]], indices: Iterable[int]
+    params: ChainParams, n: int, laws: dict[str, dict[int, Pmf]], sides: dict[int, list[int]]
 ) -> dict[int, Lemma24Report]:
-    """Lemma 2.4 reports for each index, keyed by index in ascending order,
-    from exact laws keyed by start and number of steps: the law of S under
-    ``"stationary"`` and the segment laws (``_lemma24_steps``) under
-    ``"state1"`` and ``"state0"``.  The constants, the smoothing factor and
-    both right-hand sides are computed once, the rest once per side.
+    """Lemma 2.4 reports for each index of ``sides`` (``_lemma24_sides``),
+    keyed by index in ascending order, from exact laws keyed by start and
+    number of steps: the law of S under ``"stationary"`` and the segment
+    laws (``_lemma24_steps``) under ``"state1"`` and ``"state0"``.  The
+    constants, the smoothing factor and both right-hand sides are computed
+    once, the rest once per side.
 
     The sides go in blocks of at most ``_STACK_DOUBLES`` doubles per stack.
     A block fills one stack of conditional laws per start state, row r
@@ -431,7 +441,6 @@ def _lemma24_from_laws(
 
     law_s = laws["stationary"][n].mass
     segments = (laws["state1"], laws["state0"])
-    sides = _lemma24_sides(n, indices)
     order = list(sides)
     rows = max(1, min(len(sides), _STACK_DOUBLES // (n + 1)))
     stacks = [np.empty((rows, n + 1)) for _ in segments]
@@ -446,7 +455,8 @@ def _lemma24_from_laws(
             for r, s in enumerate(block):
                 stack[r, :n] = np.convolve(state[s].mass, state[n - 1 - s].mass)
             law = stack[: len(block), :n]
-            _check_laws(law, [state[s].tail + state[n - 1 - s].tail for s in block], tol)
+            tails = [state[s].tail + state[n - 1 - s].tail for s in block]
+            _check_laws(law, tails, [tol] * len(block))
             means.append([float(k @ row) for row in law])
         law1, law0 = (stack[: len(block)] for stack in stacks)
 

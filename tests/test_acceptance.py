@@ -27,7 +27,6 @@ from markovbin import (
     gamma_fn,
     moments_closed_form,
     moments_from_pmf,
-    sample_meeting_times,
     sample_sums,
     shift_tv,
     solve_binomial_stein,
@@ -35,7 +34,7 @@ from markovbin import (
     tv_distance,
     verify_lemma24,
 )
-from markovbin.cli import evaluate_point, main
+from markovbin.cli import _coupling, evaluate_point, main
 
 from oracles import enumerate_pmf
 
@@ -255,23 +254,13 @@ def test_criterion_09_binomial_stein_bounds():
 
 
 def test_criterion_10_coupling_laws():
+    # the verify suite's rule: each tail's count against its exact binomial
+    # law at 4 sigma, varsigma tails for m <= 6 and tau tails for m <= 8
     start = time.perf_counter()
-    samples = 1_000_000
     ok = True
     for alpha, beta in ((0.3, 0.6), (0.6, 0.3), (0.1, 0.8)):
-        params = ChainParams(alpha, beta)
-        runs = sample_meeting_times(params, samples, seed=42)
-        ok = ok and runs.absorption_violations == 0
-        split = abs(beta - alpha)
-        amax = max(alpha, beta)
-        for m in range(1, 7):
-            target = split ** (m - 1)
-            sigma = math.sqrt(target * (1.0 - target) / samples)
-            ok = ok and abs(runs.varsigma_tail(m) - target) <= 4.0 * sigma + 1e-12
-        for m in range(1, 9):
-            cap = amax ** (m - 1)
-            sigma = math.sqrt(cap * (1.0 - cap) / samples)
-            ok = ok and runs.tau_tail(m) <= cap + 4.0 * sigma + 1e-12
+        verdict, _ = _coupling(ChainParams(alpha, beta), 42, 1_000_000, 4.0, 6, 8)
+        ok = ok and verdict
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     report(10, "coupled meeting-time laws", ok, f"{elapsed:.1f}s for 3x10^6 runs")

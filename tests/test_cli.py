@@ -29,7 +29,7 @@ from markovbin import (
     tv_distance,
 )
 from markovbin.cli import SweepConfig, evaluate_point, main, run_sweep
-from markovbin.stein import _lemma24_from_laws, _lemma24_reports, verify_lemma24
+from markovbin.stein import _lemma24_from_laws, _lemma24_reports, _lemma24_sides, verify_lemma24
 
 
 def run(argv):
@@ -801,7 +801,8 @@ class TestSweepEngine:
                 assert (law.tail, law.tol) == (wanted.tail, wanted.tol)
         for n in config.n_list:
             reports = _lemma24_reports(params, n, _sweep_indices(n))
-            assert _lemma24_from_laws(params, n, laws, _sweep_indices(n)) == reports
+            sides = _lemma24_sides(n, _sweep_indices(n))
+            assert _lemma24_from_laws(params, n, laws, sides) == reports
         return laws
 
     @pytest.mark.parametrize("alpha,beta", [(0.3, 0.6), (0.6, 0.25), (0.4, 0.4)])
@@ -826,27 +827,26 @@ class TestSweepEngine:
 
     def test_dp_work_per_sweep(self, tmp_path, monkeypatch):
         # the benchmark's sweep-grid shape: 6 points, n up to 250, all checks
-        import markovbin.core as core
+        import markovbin.cli as cli
 
-        passes, dp_pass = [], core._dp_pass
+        passes, exact_laws = [], cli._exact_laws
 
-        def counting(*args):
-            passes.append(0)
-            for state in dp_pass(*args):
-                passes[-1] += 1
-                yield state
+        def counting(params, wanted):
+            laws = exact_laws(params, wanted)
+            # the states one pass holds: its start state and one per step
+            passes.append((sorted(laws), max(max(ks) for ks in wanted.values()) + 1))
+            return laws
 
-        monkeypatch.setattr(core, "_dp_pass", counting)
+        monkeypatch.setattr(cli, "_exact_laws", counting)
         config = SweepConfig(
             alpha_grid=(0.1, 0.8), beta_grid=(0.35, 0.45, 0.55),
             n_list=(12, 25, 50, 100, 175, 250), checks=self.ALL,
             seed=4, output_path=str(tmp_path / "sweep.csv"),
         )
         run_sweep(config)
-        # per point: the stationary and state-0 passes to n = 250 and the
-        # state-1 pass to n - 1 = 249, counting each pass's start state
-        assert len(passes) == 3 * 6
-        assert sum(passes) == 6 * (251 + 251 + 250) == 4512
+        # per point: one pass of the stationary, state-0 and state-1 starts
+        # to n = 250, counting the start state
+        assert passes == [(["state0", "state1", "stationary"], 251)] * 6
 
 
 def _normal_fails(runs, params, samples, sigmas, varsigma_max, tau_max):

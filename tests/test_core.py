@@ -19,7 +19,8 @@ from markovbin import (
 )
 
 from markovbin.cli import evaluate_point
-from markovbin.core import _MOMENT_RTOL, PMF_TOL, _dp_pass
+from markovbin import core
+from markovbin.core import _MOMENT_RTOL, PMF_TOL, _exact_laws, _exact_tol
 from markovbin.fit import DegenerateFitError, RegimeError
 from oracles import enumerate_pmf, full_dp_pmf, mc_state1_frequency
 
@@ -246,23 +247,116 @@ class TestDpPass:
     def test_snapshots_match_exact_pmf(self, alpha, beta, n, start):
         params = ChainParams(alpha, beta)
         wanted = {0, 1, 2, n // 7, n // 3, n // 2, n - 1, n}
-        for k, (f0, f1, lo, hi, tail) in enumerate(_dp_pass(params, n, start)):
-            if k not in wanted:
-                continue
-            mass = np.zeros(k + 1)
-            mass[lo:hi] = f0[lo:hi] + f1[lo:hi]
-            if k == 0:
-                pi = stationary_law(params)
-                assert mass[0] == (pi.p0 + pi.p if start == "stationary" else 1.0)
-                assert tail == 0.0
-                continue
+        laws = _exact_laws(params, {start: wanted})[start]
+        assert sorted(laws) == sorted(wanted)
+        pi = stationary_law(params)
+        assert laws[0].mass.tolist() == [pi.p0 + pi.p if start == "stationary" else 1.0]
+        assert laws[0].tail == 0.0
+        for k in wanted - {0}:
             law = exact_pmf(params, k, start)
-            assert mass.tobytes() == law.mass.tobytes()
-            assert float(tail) == law.tail
-        assert k == n
+            assert laws[k].mass.tobytes() == law.mass.tobytes()
+            assert (laws[k].tail, laws[k].tol) == (law.tail, law.tol)
         if n == 1100:
             # the window dropped mass here, so the cut is covered
-            assert law.tail > 0.0
+            assert laws[n].tail > 0.0
+
+
+class TestExactLaws:
+    """Several starts stepped as one pass, each start's laws in one stack."""
+
+    STARTS = ("stationary", "state0", "state1")
+
+    @pytest.mark.parametrize(
+        "alpha,beta,n,diverge",
+        [
+            (0.5, 0.5, 1100, False),
+            (0.5, 0.5, 5000, False),
+            (0.999, 0.001, 1500, True),
+            (1e-6, 0.999999, 500, False),
+            (0.2, 1e-4, 600, True),
+            (0.9, 0.02, 1200, True),
+        ],
+    )
+    def test_each_start_matches_its_one_start_pass(self, alpha, beta, n, diverge):
+        params = ChainParams(alpha, beta)
+        # each start wants its own steps, so the stacks differ in rows and width
+        wanted = {
+            start: {0, 1, 2, n // 7, n // 3 + r, n // 2, n - 2 - r, n - 1, n - 3 * r}
+            for r, start in enumerate(self.STARTS)
+        }
+        laws = _exact_laws(params, wanted)
+        assert list(laws) == list(self.STARTS)
+        dropped = False
+        for start, by_steps in laws.items():
+            assert sorted(by_steps) == sorted(wanted[start])
+            for k, law in by_steps.items():
+                alone = exact_pmf(params, k, start) if k else law
+                assert law.mass.tobytes() == alone.mass.tobytes(), (start, k)
+                assert (law.tail, law.tol) == (alone.tail, alone.tol), (start, k)
+                dropped = dropped or law.tail > 0.0
+        assert dropped == ((alpha, beta) != (1e-6, 0.999999))
+        # where the starts' windows part, each start keeps its own edges
+        common = set.intersection(*map(set, wanted.values()))
+        supports = {
+            k: {tuple(np.flatnonzero(laws[start][k].mass)[[0, -1]]) for start in self.STARTS}
+            for k in common
+        }
+        assert any(len(edges) > 1 for edges in supports.values()) == diverge
+
+    def test_laws_are_row_views_of_one_stack_per_start(self):
+        laws = _exact_laws(ChainParams(0.3, 0.6), {"state0": [40, 3, 10], "state1": [5]})
+        stack = laws["state0"][40].mass.base
+        assert stack.shape == (3, 41)
+        for row, k in enumerate((3, 10, 40)):
+            law = laws["state0"][k]
+            assert law.mass.base is stack and np.shares_memory(law.mass, stack[row])
+            assert law.mass.size == k + 1 and not stack[row, k + 1 :].any()
+        assert laws["state1"][5].mass.base.shape == (1, 6)
+
+    @staticmethod
+    def _planted(monkeypatch, plant):
+        """Run ``plant`` on each stack just before the engine checks it."""
+        check = core._check_laws
+
+        def planted(mass, tails, tols):
+            plant(mass, tols)
+            check(mass, tails, tols)
+
+        monkeypatch.setattr(core, "_check_laws", planted)
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "value,message",
+        [(np.nan, "mass entries must be finite"), (-1e-9, "mass entries must be finite and non-negative")],
+    )
+    def test_planted_bad_entry_raises(self, monkeypatch, row, value, message):
+        def plant(mass, tols):
+            if mass.shape[0] == 3:
+                mass[row, 2] = value
+
+        self._planted(monkeypatch, plant)
+        with pytest.raises(ValueError, match=message):
+            _exact_laws(ChainParams(0.3, 0.6), {"state1": [4], "state0": [3, 10, 40]})
+
+    def test_each_row_is_checked_at_its_own_tolerance(self, monkeypatch):
+        # rows after 3 and 6000 steps: tolerances 1e-12 and 2.7e-12
+        small, large = _exact_tol(3), _exact_tol(6000)
+        assert small == PMF_TOL and large > 2.5 * small
+        params, wanted = ChainParams(0.3, 0.6), {"state0": [3, 6000]}
+
+        def off_by(row):
+            def plant(mass, tols):
+                assert tols == [small, large]
+                mass[row] *= 1.0 + 2.0 * small
+
+            return plant
+
+        self._planted(monkeypatch, off_by(1))
+        laws = _exact_laws(params, wanted)["state0"]  # within the larger tolerance
+        assert abs(laws[6000].mass.sum() - 1.0) > small
+        self._planted(monkeypatch, off_by(0))
+        with pytest.raises(ValueError, match=r"off by more than tol=1e-12$"):
+            _exact_laws(params, wanted)
 
 
 def _assert_conditionals_match_separate_runs(params, n):

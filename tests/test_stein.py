@@ -18,9 +18,10 @@ from markovbin import (
     verify_lemma24,
 )
 from markovbin.fit import binomial_pmf
-from markovbin.core import Pmf, _exact_tol, _pass_snapshots, exact_pmf
+from markovbin.core import Pmf, _exact_laws, _exact_tol, exact_pmf
 from markovbin.stein import (
-    _binomial_stein, _lemma24_from_laws, _lemma24_reports, _lemma24_steps, _solve_nb,
+    _binomial_stein, _lemma24_from_laws, _lemma24_reports, _lemma24_sides, _lemma24_steps,
+    _solve_nb,
 )
 from oracles import scalar_binomial_stein, scalar_lemma24, scalar_lemma31, scalar_nb_stein
 
@@ -329,40 +330,59 @@ class TestLemma24Reports:
             _lemma24_reports(ChainParams(0.3, 0.6), 10, [12, 3, 0, 11, -2])
 
     def test_memory_budget_splits_passes(self, monkeypatch):
-        import markovbin.core as core
         import markovbin.stein as stein
 
         params = ChainParams(0.3, 0.6)
-        # Indices i and n + 1 - i read the laws after i - 1 and n - i steps,
-        # n + 1 doubles together; the middle index of an odd n reads one law
-        # of (n + 1) / 2 doubles.  A budget of 200 doubles per state holds
-        # three pairs, so n = 60 takes 30 / 3 rounds and n = 61 one more for
-        # its middle index.
-        for n, rounds in ((60, 10), (61, 11)):
+        # Side s reads the laws after s and n - 1 - s steps: two rows of the
+        # round's stack per state (one for the middle side of an odd n),
+        # each padded to at most n doubles.  A budget of 600 doubles per
+        # stack takes 600 // (2n) sides per round: 5 at n = 60, whose 30
+        # sides take 6 rounds (the first fills 10 rows of 60 doubles), and
+        # 4 at n = 61, whose 31 sides take 8.
+        for n, rounds in ((60, 6), (61, 8)):
             whole = _lemma24_reports(params, n, range(1, n + 1))
-            passes, kept = [], []
-            dp_pass, pass_snapshots = core._dp_pass, stein._pass_snapshots
+            passes, exact_laws = [], stein._exact_laws
 
-            def snapshots(*args):
-                laws = pass_snapshots(*args)
-                kept.append(sum(law.mass.size for law in laws.values()))
+            def counting(*args):
+                laws = exact_laws(*args)
+                # the doubles of each start's stack, whose rows the laws view
+                passes.append({
+                    start: next(iter(by_steps.values())).mass.base.size
+                    for start, by_steps in laws.items()
+                })
                 return laws
 
-            monkeypatch.setattr(stein, "_KEPT_DOUBLES", 200)
-            monkeypatch.setattr(stein, "_pass_snapshots", snapshots)
-            monkeypatch.setattr(core, "_dp_pass", lambda *a: passes.append(a) or dp_pass(*a))
+            monkeypatch.setattr(stein, "_KEPT_DOUBLES", 600)
+            monkeypatch.setattr(stein, "_exact_laws", counting)
             reports = _lemma24_reports(params, n, range(1, n + 1))
             monkeypatch.undo()
-            assert len(passes) == 2 * rounds + 1  # two states per round, one stationary
-            assert len(kept) == 2 * rounds and max(kept) <= 200
+            assert len(passes) == rounds  # one pass per round
+            # the law of S comes from the first round's pass alone
+            assert [sorted(stacks) for stacks in passes] == (
+                [["state0", "state1", "stationary"]] + [["state0", "state1"]] * (rounds - 1)
+            )
+            assert passes[0]["stationary"] == n + 1
+            assert passes[0]["state1"] == (600 if n == 60 else 8 * 61)
+            kept = [stacks[start] for stacks in passes for start in ("state1", "state0")]
+            assert max(kept) <= 600
             assert list(reports) == list(whole) == list(range(1, n + 1))
             assert all(reports[i] == whole[i] for i in whole)
 
+    def test_sides_are_found_once(self, monkeypatch):
+        import markovbin.stein as stein
+
+        calls, sides = [], stein._lemma24_sides
+        monkeypatch.setattr(stein, "_lemma24_sides", lambda *a: calls.append(a) or sides(*a))
+        monkeypatch.setattr(stein, "_KEPT_DOUBLES", 600)  # six rounds at n = 60
+        reports = _lemma24_reports(ChainParams(0.3, 0.6), 60, range(1, 61))
+        assert len(calls) == 1 and list(reports) == list(range(1, 61))
+
 
 def _lemma24_laws(params, n, indices):
-    """The exact laws ``_lemma24_from_laws`` reads for these indices."""
-    steps = _lemma24_steps(n, indices)
-    laws = {start: _pass_snapshots(params, start, steps) for start in ("state1", "state0")}
+    """The exact laws ``_lemma24_from_laws`` reads for these indices, each
+    start from a pass of its own."""
+    steps = _lemma24_steps(n, _lemma24_sides(n, indices))
+    laws = {start: _exact_laws(params, {start: steps})[start] for start in ("state1", "state0")}
     return {"stationary": {n: exact_pmf(params, n)}, **laws}
 
 
@@ -386,7 +406,7 @@ class TestLemma24Stacks:
         # blocks of one and of three rows give the same reports
         for rows in (1, 3):
             monkeypatch.setattr(stein, "_STACK_DOUBLES", rows * (n + 1))
-            blocked = _lemma24_from_laws(params, n, laws, indices)
+            blocked = _lemma24_from_laws(params, n, laws, _lemma24_sides(n, indices))
             assert {i: astuple(r) for i, r in blocked.items()} == wanted, rows
 
     @pytest.mark.parametrize(
@@ -415,6 +435,6 @@ class TestLemma24Stacks:
             Pmf(np.convolve(left.mass, segment.mass), tail=left.tail + segment.tail,
                 tol=_exact_tol(n))
         with pytest.raises(ValueError) as raised:
-            _lemma24_from_laws(params, n, laws, range(1, n + 1))
+            _lemma24_from_laws(params, n, laws, _lemma24_sides(n, range(1, n + 1)))
         assert str(raised.value) == str(expected.value)
         assert str(raised.value).startswith(message)
