@@ -22,7 +22,7 @@ binomial).  Residuals are checked, not trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -118,36 +118,44 @@ class SteinSolution:
 
 
 def _normalize_subset(subset: Iterable[int], upper: int) -> np.ndarray:
-    # an integer ndarray needs no round trip through a list
-    values = subset if isinstance(subset, np.ndarray) and subset.dtype.kind == "i" else list(subset)
-    members = np.unique(np.asarray(values, dtype=np.int64))
-    if members.size and (members[0] < 0 or members[-1] > upper):
+    """One subset of 0..upper, given by its points, as a one-row mask for
+    ``_subset_columns``.  A boolean or non-integral collection is refused:
+    it is not a set of points."""
+    # an ndarray needs no round trip through a list
+    points = np.asarray(subset if isinstance(subset, np.ndarray) else list(subset))
+    if points.size and points.dtype.kind not in "iu":
+        raise ValueError(f"subset must hold integer points, got dtype {points.dtype}")
+    points = points.astype(np.int64).ravel()
+    if points.size and (points.min() < 0 or points.max() > upper):
         raise ValueError(f"subset must lie within 0..{upper}")
-    return members
+    mask = np.zeros((1, upper + 1), dtype=bool)
+    mask[0, points] = True
+    return mask
 
 
-def _subset_columns(
-    subsets: Sequence[Iterable[int]], upper: int, pi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The subsets as columns: ``ind[j, c]`` is 1_{A_c}(j) for j = 0..upper
-    and ``p_set[c]`` is P(A_c), the mass ``pi`` puts on A_c (summed as one
-    subset alone would sum it).  Each subset is normalised once."""
-    members = [_normalize_subset(subset, upper) for subset in subsets]
-    ind = np.zeros((upper + 1, len(members)), dtype=bool)
-    for column, points in enumerate(members):
-        ind[points, column] = True
-    p_set = np.array([pi[points[: np.searchsorted(points, pi.size)]].sum() for points in members])
+def _subset_columns(mask: np.ndarray, rows: int, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The subsets of ``mask`` (row c marks the points of A_c) as columns:
+    ``ind[j, c]`` is 1_{A_c}(j) for j < ``rows``, the transposed mask padded
+    with zeros, and ``p_set[c]`` is P(A_c), the mass ``pi`` puts on A_c.
+    Each P(A_c) is summed over its own members, as one subset alone would
+    sum it; one sum over all columns would group numpy's pairwise sums
+    differently."""
+    ind = np.zeros((rows, mask.shape[0]), dtype=bool)
+    ind[: mask.shape[1]] = mask.T
+    p_set = np.array([pi[row[: pi.size]].sum() for row in mask])
     return ind, p_set
 
 
-def _solutions(g: np.ndarray, residual: np.ndarray, delta: np.ndarray) -> list[SteinSolution]:
-    """One solution per column of ``g``, with the column's equation defects
-    ``residual`` and differences ``delta``."""
-    residual_sup, delta_sup = np.abs(residual).max(axis=0), np.abs(delta).max(axis=0)
-    return [
-        SteinSolution(g=g[:, column], residual_sup=float(r), delta_sup=float(d))
-        for column, (r, d) in enumerate(zip(residual_sup, delta_sup))
-    ]
+def _sup(values: np.ndarray) -> np.ndarray:
+    """sup |values| per column."""
+    return np.abs(values).max(axis=0)
+
+
+def _solution(g: np.ndarray, residual_sup: np.ndarray, delta_sup: np.ndarray) -> SteinSolution:
+    """The solution in column 0 of a batch, for a one-subset caller."""
+    return SteinSolution(
+        g=g[:, 0], residual_sup=residual_sup[0].item(), delta_sup=delta_sup[0].item()
+    )
 
 
 def _recurrence(
@@ -170,22 +178,27 @@ def _action(up: np.ndarray, down: np.ndarray, g: np.ndarray) -> np.ndarray:
 def solve_nb_stein(setup: NbSteinSetup, subset: Iterable[int]) -> SteinSolution:
     """Solve Bg = 1_A - P(A) for the negative binomial (or Poisson) target.
 
-    ``subset`` must lie within the truncated support {0..N}.  The returned g
-    has entries 0..N+1; the residual is the largest equation defect over
-    j = 0..N.  This is the one-subset case of ``_solve_nb``.
+    ``subset`` holds integer points within the truncated support {0..N}.
+    The returned g has entries 0..N+1; the residual is the largest equation
+    defect over j = 0..N.  This is the one-subset case of ``_solve_nb``.
     """
-    return _solve_nb(setup, [subset])[0]
+    return _solution(*_solve_nb(setup, _normalize_subset(subset, setup.target.mass.size - 1)))
 
 
-def _solve_nb(setup: NbSteinSetup, subsets: Sequence[Iterable[int]]) -> list[SteinSolution]:
-    """``solve_nb_stein`` for many subsets at once: the recurrences run over
-    a (j, subset) array, each entry by the operations a lone subset's would
-    take, so every solution is the one its subset gives alone."""
+def _solve_nb(
+    setup: NbSteinSetup, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``solve_nb_stein`` for the subsets of ``mask`` (one row per subset,
+    one column per point of 0..N) at once: the solutions as the columns of
+    g, with each column's residual sup and sup |g(j+2) - g(j+1)|.  The
+    recurrences run over a (j, subset) array, each entry by the operations
+    a lone subset's would take, so every column is the one its subset gives
+    alone."""
     pi = setup.target.mass
     top = pi.size - 1
     if top < 1:
         raise ValueError("target must be tabulated past 0 to solve the equation")
-    ind, p_set = _subset_columns(subsets, top, pi)
+    ind, p_set = _subset_columns(mask, top + 1, pi)
     f = ind - p_set
     j = np.arange(top + 1, dtype=float)
     up, down = setup.a + setup.b * j, j
@@ -197,7 +210,7 @@ def _solve_nb(setup: NbSteinSetup, subsets: Sequence[Iterable[int]]) -> list[Ste
     pi_next = pi[top] * up[top] / (top + 1)
     g[top + 1] = p_set * setup.target.tail / ((top + 1) * pi_next) if pi_next > 0.0 else 0.0
     _recurrence(up, down, f, min(max(int(setup.mean), 1), top), g)
-    return _solutions(g, _action(up, down, g) - f, np.diff(g[1:], axis=0))
+    return g, _sup(_action(up, down, g) - f), _sup(np.diff(g[1:], axis=0))
 
 
 @dataclass(frozen=True)
@@ -212,13 +225,17 @@ class DeltaBoundReport:
 
 def check_nb_delta_bound(solution: SteinSolution, a: float) -> DeltaBoundReport:
     """Check sup_j |g(j+2) - g(j+1)| <= 1/a, returning the slack."""
-    bound = 1.0 / a
+    ok, bound, margin = _nb_delta_bound(np.array([solution.delta_sup]), a)
     return DeltaBoundReport(
-        ok=solution.delta_sup <= bound + _STEIN_TOL,
-        delta_sup=solution.delta_sup,
-        bound=bound,
-        margin=bound - solution.delta_sup,
+        ok=ok[0].item(), delta_sup=solution.delta_sup, bound=bound, margin=margin[0].item()
     )
+
+
+def _nb_delta_bound(delta_sup: np.ndarray, a: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """``check_nb_delta_bound`` per column: whether each sup |dg'| is within
+    1/a, the bound 1/a, and each column's slack."""
+    bound = 1.0 / a
+    return delta_sup <= bound + _STEIN_TOL, bound, bound - delta_sup
 
 
 def solve_binomial_stein(m: int, theta: float, subset: Iterable[int]) -> SteinSolution:
@@ -232,7 +249,9 @@ def solve_binomial_stein(m: int, theta: float, subset: Iterable[int]) -> SteinSo
     up to there, but only its intersection with 0..m carries mass.  This is
     the one-subset case of ``_binomial_stein``.
     """
-    return _binomial_stein(m, theta, binomial_pmf(m, theta).mass, [subset])[0][0]
+    mask = _normalize_subset(subset, m + _BINOMIAL_EXTEND)
+    g, residual_sup, report = _binomial_stein(m, theta, binomial_pmf(m, theta).mass, mask)
+    return _solution(g, residual_sup, report["delta_sup"])
 
 
 @dataclass(frozen=True)
@@ -262,8 +281,10 @@ def check_binomial_lemma31(
     1/(m*theta*(1-theta)), the exact boundary difference at j = m and the
     vanishing differences past m, all read off ``solution.g``."""
     g = solution.g[:, None]
-    ind, p_set = _subset_columns([subset], g.shape[0] - 1, binomial_pmf(m, theta).mass)
-    return _lemma31(g, m, theta, ind, p_set)[0][1]
+    mask = _normalize_subset(subset, g.shape[0] - 1)
+    ind, p_set = _subset_columns(mask, g.shape[0], binomial_pmf(m, theta).mass)
+    _, report = _lemma31(g, m, theta, ind, p_set)
+    return BinomialSteinReport(**{name: column[0].item() for name, column in report.items()})
 
 
 def _binomial_coefficients(m: int, theta: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -274,58 +295,58 @@ def _binomial_coefficients(m: int, theta: float, rows: int) -> tuple[np.ndarray,
 
 
 def _binomial_stein(
-    m: int, theta: float, pi: np.ndarray, subsets: Sequence[Iterable[int]]
-) -> list[tuple[SteinSolution, BinomialSteinReport]]:
-    """``solve_binomial_stein`` and ``check_binomial_lemma31`` for many
-    subsets of one target, whose mass ``pi`` of Bi(m, theta) is already
-    tabulated; the subsets are normalised once for both.  Each entry takes
-    the operations a lone subset's would."""
-    ind, p_set = _subset_columns(subsets, m + _BINOMIAL_EXTEND, pi)
+    m: int, theta: float, pi: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """``solve_binomial_stein`` and ``check_binomial_lemma31`` for the
+    subsets of ``mask`` (one row per subset, one column per point from 0 up
+    to at most m + 64) at once, for a target whose mass ``pi`` of
+    Bi(m, theta) is already tabulated: the solutions as the columns of g,
+    each column's residual sup, and its Lemma 3.1 report (``_lemma31``).
+    Each entry takes the operations a lone subset's would."""
+    ind, p_set = _subset_columns(mask, m + _BINOMIAL_EXTEND + 1, pi)
     g = np.zeros((m + _BINOMIAL_EXTEND + 1, p_set.size))
     # g = 0 past m anchors the backward sweep, whose j = m step then solves
     # the j = m equation -(1-theta)*m*g(m) = f(m); the extension comes after
     seam = min(max(int(theta * m), 0), m - 1)
     _recurrence(*_binomial_coefficients(m, theta, m + 1), ind - p_set, seam, g)
     g[m + 1 :] = -(1.0 + theta * ind[m] - theta * p_set) / (m * theta * (1.0 - theta))
-    return _lemma31(g, m, theta, ind, p_set)
+    return (g, *_lemma31(g, m, theta, ind, p_set))
 
 
 def _lemma31(
     g: np.ndarray, m: int, theta: float, ind: np.ndarray, p_set: np.ndarray
-) -> list[tuple[SteinSolution, BinomialSteinReport]]:
-    """The solutions in the columns of ``g`` and their Lemma 3.1 reports, for
-    the subsets of ``_subset_columns`` over the rows of g.  One defect
-    Bg - (1_A - P(A)) over the tabulated range serves both: its first m rows
-    are the equation's residual, and its minimum is the one-sided slack."""
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Each column's residual sup and Lemma 3.1 report, for the solutions in
+    the columns of ``g`` and the subsets of ``_subset_columns`` over the
+    rows of g.  The report holds one array per ``BinomialSteinReport``
+    field, entry c for column c.  One defect Bg - (1_A - P(A)) over the
+    tabulated range serves both: its first m rows are the equation's
+    residual, and its minimum is the one-sided slack."""
     top = g.shape[0] - 1
     defect = _action(*_binomial_coefficients(m, theta, top), g) - (ind[:top] - p_set)
     delta = np.diff(g, axis=0)
-    solutions = _solutions(g, defect[:m], delta)
+    delta_sup = _sup(delta)
     bound = 1.0 / (m * theta * (1.0 - theta))
+    min_slack = defect.min(axis=0)
     at_m = np.abs(np.abs(delta[m]) - bound)
-    tail = np.abs(delta[m + 1 :]).max(axis=0) if top > m + 1 else np.zeros(p_set.size)
+    tail = _sup(delta[m + 1 :]) if top > m + 1 else np.zeros(p_set.size)
     tail_slope = -g[-1]  # Bg grows by (j+1) - j times this past m
-    columns = zip(
-        solutions, defect.min(axis=0).tolist(), at_m.tolist(), tail.tolist(), tail_slope.tolist()
+    ok = (
+        (min_slack >= -_STEIN_TOL)
+        & (delta_sup <= bound + _STEIN_TOL)
+        & (at_m <= _STEIN_TOL)
+        & (tail == 0.0)
+        & (tail_slope >= 0.0)
     )
-    return [
-        (solution, BinomialSteinReport(
-            ok=(
-                min_slack >= -_STEIN_TOL
-                and solution.delta_sup <= bound + _STEIN_TOL
-                and at_m_error <= _STEIN_TOL
-                and tail_max == 0.0
-                and slope >= 0.0
-            ),
-            inequality_min_slack=min_slack,
-            delta_sup=solution.delta_sup,
-            delta_bound=bound,
-            delta_at_m_error=at_m_error,
-            tail_delta_max=tail_max,
-            tail_slope=slope,
-        ))
-        for solution, min_slack, at_m_error, tail_max, slope in columns
-    ]
+    return _sup(defect[:m]), {
+        "ok": ok,
+        "inequality_min_slack": min_slack,
+        "delta_sup": delta_sup,
+        "delta_bound": np.full(p_set.size, bound),
+        "delta_at_m_error": at_m,
+        "tail_delta_max": tail,
+        "tail_slope": tail_slope,
+    }
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from markovbin import (
     binomial_pmf,
     bound_binomial,
     bound_nb,
+    check_binomial_lemma31,
+    check_nb_delta_bound,
     classify_regime,
     exact_pmf,
     fit_binomial,
@@ -26,6 +28,8 @@ from markovbin import (
     moments_closed_form,
     nb_pmf,
     poisson_pmf,
+    solve_binomial_stein,
+    solve_nb_stein,
     tv_distance,
 )
 from markovbin.cli import SweepConfig, evaluate_point, main, run_sweep
@@ -426,6 +430,173 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as excinfo:
             run(["verify", "lemma21", "--alpha", "0.3", "--beta", "0.6"])
         assert excinfo.value.code == 2
+
+
+def _folded_stein(fit, target, seed, count):
+    """The Stein check as a fold over the public per-subset objects: the
+    subsets of ``cli._random_subsets`` solved one at a time, each solution
+    checked by its public report, then a running max and min from 0 and inf."""
+    from markovbin import stein as stein_mod
+    from markovbin.cli import _random_subsets
+    from markovbin.fit import BinFit
+
+    rng = np.random.default_rng(seed)
+    checked = []
+    if isinstance(fit, BinFit):
+        for row in _random_subsets(rng, fit.m + 16, count):
+            members = np.flatnonzero(row)
+            solution = solve_binomial_stein(fit.m, fit.theta, members)
+            checked.append(
+                (solution, check_binomial_lemma31(solution, fit.m, fit.theta, members))
+            )
+    else:
+        setup = stein_mod._nb_setup(fit, target)
+        for row in _random_subsets(rng, target.mass.size - 1, count):
+            solution = solve_nb_stein(setup, np.flatnonzero(row))
+            checked.append((solution, check_nb_delta_bound(solution, setup.a)))
+    ok = all(report.ok and s.residual_sup <= stein_mod._STEIN_TOL for s, report in checked)
+    worst = max(0.0, *(s.residual_sup for s, _ in checked))
+    lines = [f"subsets: {count}, max residual: {worst:.3g}"]
+    if not isinstance(fit, BinFit):
+        margin = min(math.inf, *(report.margin for _, report in checked))
+        lines.append(f"min slack of sup|dg'| <= 1/a: {margin:.6g}")
+    return ok, lines
+
+
+class TestSteinVerdict:
+    """``cli._stein`` reads its verdict off the batch's per-subset arrays: it
+    must be the fold over the public per-subset objects, pass over a NaN as
+    that fold does, and fail where one solution is off."""
+
+    # the benchmark's sweep-grid centres, and the CI points of the two verify suites
+    GRID = [(a, b, n) for a in (0.1, 0.8) for b in (0.35, 0.45, 0.55)
+            for n in (12, 25, 50, 100, 175, 250)]
+    VERIFY = [(fit_negative_binomial, 0.1, 0.45, 100), (fit_binomial, 0.8, 0.35, 100)]
+
+    def test_sweep_rows_at_the_sweep_budget(self):
+        from markovbin.cli import _SWEEP_STEIN_SUBSETS, _point_row, _row_seed, _stein
+
+        kinds = set()
+        for index, (alpha, beta, n) in enumerate(self.GRID):
+            _, fit, reference = _point_row(ChainParams(alpha, beta), n, None)
+            seed = _row_seed(3, index)
+            got = _stein(fit, reference, seed, _SWEEP_STEIN_SUBSETS)
+            assert got == _folded_stein(fit, reference, seed, _SWEEP_STEIN_SUBSETS), index
+            assert got[0] is True
+            kinds.add(type(fit).__name__)
+        assert kinds == {"NbFit", "BinFit"}
+
+    @pytest.mark.parametrize("fit_for,alpha,beta,n", VERIFY, ids=["nb", "binomial"])
+    def test_verify_budget(self, fit_for, alpha, beta, n):
+        from markovbin.cli import _stein
+        from markovbin.fit import _reference
+
+        fit = fit_for(ChainParams(alpha, beta), n)
+        for seed in (0, 7):
+            got = _stein(fit, _reference(fit), seed, 200)
+            assert got == _folded_stein(fit, _reference(fit), seed, 200)
+            assert got[0] is True
+
+    @pytest.mark.parametrize("fit_for,alpha,beta,n", VERIFY, ids=["nb", "binomial"])
+    def test_nan_residual_is_passed_over(self, monkeypatch, fit_for, alpha, beta, n):
+        # every subset holding point 0 gets a NaN residual, in the batch and
+        # in each public one-subset solve alike
+        from markovbin import stein as stein_mod
+        from markovbin.cli import _random_subsets, _stein
+        from markovbin.fit import _reference
+
+        solve, lemma31 = stein_mod._solve_nb, stein_mod._lemma31
+
+        def nb_nan(setup, mask):
+            g, residual, delta = solve(setup, mask)
+            return g, np.where(mask[:, 0], np.nan, residual), delta
+
+        def binomial_nan(g, m, theta, ind, p_set):
+            residual, report = lemma31(g, m, theta, ind, p_set)
+            return np.where(ind[0], np.nan, residual), report
+
+        monkeypatch.setattr(stein_mod, "_solve_nb", nb_nan)
+        monkeypatch.setattr(stein_mod, "_lemma31", binomial_nan)
+        fit = fit_for(ChainParams(alpha, beta), n)
+        holds_0 = _random_subsets(np.random.default_rng(11), 1, 20)[:, 0]
+        assert 0 < holds_0.sum() < 20
+        ok, lines = _stein(fit, _reference(fit), 11, 20)
+        assert (ok, lines) == _folded_stein(fit, _reference(fit), 11, 20)
+        assert ok is False and "nan" not in lines[0]
+
+    @pytest.mark.parametrize("fit_for,alpha,beta,n", VERIFY, ids=["nb", "binomial"])
+    def test_one_perturbed_solution_fails(self, monkeypatch, fit_for, alpha, beta, n):
+        from markovbin import stein as stein_mod
+        from markovbin.cli import _stein
+        from markovbin.fit import _reference
+
+        fit = fit_for(ChainParams(alpha, beta), n)
+        ok, lines = _stein(fit, _reference(fit), 5, 20)
+        assert ok is True
+        recurrence = stein_mod._recurrence
+
+        def perturbed(up, down, f, seam, g):
+            recurrence(up, down, f, seam, g)
+            g[1, -1] += 1e-6  # the last subset's solution only
+
+        monkeypatch.setattr(stein_mod, "_recurrence", perturbed)
+        ok, lines = _stein(fit, _reference(fit), 5, 20)
+        assert ok is False
+        assert float(lines[0].rsplit(" ", 1)[1]) > stein_mod._STEIN_TOL
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    def test_commands_repeat(self, tmp_path, capsys):
+        from markovbin.cli import build_parser
+
+        assert build_parser() is build_parser()
+        report = tmp_path / "sweep.csv"
+        commands = [
+            ["fit", "--alpha", "0.1", "--beta", "0.45", "--n", "50", "--exact"],
+            ["sweep", "--alphas", "0.1", "0.8", "--betas", "0.45", "--ns", "12", "30",
+             "--checks", "bounds", "stein", "lemma21", "--seed", "4", "--output", str(report)],
+            ["sweep", "--alphas", "0.3", "--betas", "0.6", "--ns", "4", "--output", str(report)],
+            ["verify", "stein-nb", "--alpha", "0.1", "--beta", "0.45", "--n", "100"],
+            ["verify", "lemma24", "--alpha", "0.3", "--beta", "0.6", "--n", "20"],
+        ]
+        rounds = []
+        for _ in range(2):
+            outputs = []
+            for argv in commands:
+                code = run(argv)
+                written = report.read_text() if argv[0] == "sweep" else None
+                outputs.append((code, capsys.readouterr().out, written))
+            rounds.append(outputs)
+        assert rounds[0] == rounds[1]
+        assert [code for code, _, _ in rounds[0]] == [0] * len(commands)
+        # the sweep without --checks leaves the shared default empty
+        args = build_parser().parse_args(["sweep", "--alphas", "0.3", "--betas", "0.6",
+                                          "--ns", "4", "--output", str(report)])
+        assert args.checks == []
+
+    def test_usage_error_repeats(self, capsys):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                run(["verify", "lemma21", "--alpha", "0.3", "--beta", "0.6"])
+            assert excinfo.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].splitlines()[-1] == "markovbin verify: error: suite 'lemma21' requires --n"
+
+    def test_handlers_are_looked_up_per_call(self, monkeypatch):
+        import markovbin.cli as cli
+
+        cli.build_parser()  # built before the handlers are replaced
+        monkeypatch.setattr(cli, "cmd_fit", lambda args, parser: 5)
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: 6)
+        monkeypatch.setattr(cli, "cmd_verify", lambda args, parser: 7)
+        assert run(["fit", "--alpha", "0.1", "--beta", "0.45", "--n", "5"]) == 5
+        assert run(["sweep", "--alphas", "0.1", "--betas", "0.4", "--ns", "5",
+                    "--output", os.devnull]) == 6
+        assert run(["verify", "lemma22"]) == 7
 
 
 class TestScipyStatsUnimported:

@@ -1,10 +1,11 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
 from markovbin import (
+    BinomialSteinReport,
     ChainParams,
     NbSteinSetup,
     check_binomial_lemma31,
@@ -17,6 +18,7 @@ from markovbin import (
     stationary_law,
     verify_lemma24,
 )
+from markovbin.cli import _random_subsets
 from markovbin.fit import binomial_pmf
 from markovbin.core import Pmf, _exact_laws, _exact_tol, exact_pmf
 from markovbin.stein import (
@@ -204,15 +206,17 @@ class TestCheckBinomialLemma31:
 
 
 class TestBatchedSolves:
-    """A row's subsets are solved together in one (j, subset) array; every
-    column must be bit for bit the scalar recurrences' solution, and the
-    public one-subset functions the same as a column of a batch."""
+    """A row's subsets are drawn as one mask and solved together in one
+    (j, subset) array; every column must be bit for bit the scalar
+    recurrences' solution, and the public one-subset functions the same as
+    a column of a batch."""
 
     @staticmethod
-    def _subsets(seed, upper, count=8):
-        rng = np.random.default_rng(seed)
-        subsets = [random_subset(rng, upper) for _ in range(count)]
-        return subsets + [np.array([], dtype=np.int64), np.arange(upper + 1)]
+    def _mask(seed, upper, count=8):
+        """The sweep's draw of ``count`` subsets of 0..upper, then an
+        all-False and an all-True row."""
+        mask = _random_subsets(np.random.default_rng(seed), upper, count)
+        return np.vstack([mask, np.zeros((1, upper + 1), bool), np.ones((1, upper + 1), bool)])
 
     NB_SETUPS = {
         "nb-0.1-0.45-100": lambda: NbSteinSetup.from_chain(ChainParams(0.1, 0.45), 100),
@@ -223,20 +227,32 @@ class TestBatchedSolves:
         "poisson-limit-1e-13-10": lambda: NbSteinSetup.from_chain(ChainParams(1e-13, 1e-13), 10),
     }
 
+    @pytest.mark.parametrize("upper,count", [(0, 1), (12, 20), (250, 3)])
+    def test_mask_rows_are_successive_draws(self, upper, count):
+        # row c of the mask is the subset that the c-th one-row draw gives
+        mask = _random_subsets(np.random.default_rng(upper), upper, count)
+        assert mask.shape == (count, upper + 1) and mask.dtype == bool
+        rng = np.random.default_rng(upper)
+        for row in mask:
+            assert np.array_equal(np.flatnonzero(row), random_subset(rng, upper))
+
     @pytest.mark.parametrize("name", list(NB_SETUPS))
     def test_nb_columns_equal_scalar_solves(self, name):
         setup = self.NB_SETUPS[name]()
         pi = setup.target.mass
-        subsets = self._subsets(len(name), pi.size - 1)
-        for subset, solution in zip(subsets, _solve_nb(setup, subsets)):
-            g, residual_sup, delta_sup = scalar_nb_stein(
-                setup.a, setup.b, pi, setup.target.tail, setup.mean, subset
+        mask = self._mask(len(name), pi.size - 1)
+        g, residual_sup, delta_sup = _solve_nb(setup, mask)
+        assert g.shape == (pi.size + 1, mask.shape[0])
+        for column, row in enumerate(mask):
+            members = np.flatnonzero(row)
+            wanted, wanted_residual, wanted_delta = scalar_nb_stein(
+                setup.a, setup.b, pi, setup.target.tail, setup.mean, members
             )
-            assert np.array_equal(solution.g, g)
-            assert (solution.residual_sup, solution.delta_sup) == (residual_sup, delta_sup)
-            single = solve_nb_stein(setup, subset)
-            assert np.array_equal(single.g, g)
-            assert (single.residual_sup, single.delta_sup) == (residual_sup, delta_sup)
+            assert np.array_equal(g[:, column], wanted)
+            assert (residual_sup[column], delta_sup[column]) == (wanted_residual, wanted_delta)
+            single = solve_nb_stein(setup, members)
+            assert np.array_equal(single.g, wanted)
+            assert (single.residual_sup, single.delta_sup) == (wanted_residual, wanted_delta)
 
     @pytest.mark.parametrize(
         "alpha,beta,n", [(0.8, 0.35, 100), (0.8, 0.55, 12), (0.3, 0.6, 2), (0.2, 0.1, 500)]
@@ -245,20 +261,29 @@ class TestBatchedSolves:
         fit = fit_binomial(ChainParams(alpha, beta), n)
         m, theta = fit.m, fit.theta
         pi = binomial_pmf(m, theta).mass
-        subsets = self._subsets(n, m + 16)
-        for subset, (solution, report) in zip(subsets, _binomial_stein(m, theta, pi, subsets)):
-            g, residual_sup, delta_sup = scalar_binomial_stein(m, theta, pi, subset, 64)
-            assert np.array_equal(solution.g, g)
-            assert (solution.residual_sup, solution.delta_sup) == (residual_sup, delta_sup)
-            assert (
-                report.inequality_min_slack, report.delta_at_m_error,
-                report.tail_delta_max, report.tail_slope,
-            ) == scalar_lemma31(g, m, theta, pi, subset)
-            assert report.delta_sup == delta_sup
-            single = solve_binomial_stein(m, theta, subset)
-            assert np.array_equal(single.g, g)
-            assert (single.residual_sup, single.delta_sup) == (residual_sup, delta_sup)
-            assert check_binomial_lemma31(single, m, theta, subset) == report
+        # the sweep's width m + 16 and the full tabulated one, m + 64: both
+        # put points past m
+        for past in (16, 64):
+            mask = self._mask(n + past, m + past)
+            g, residual_sup, report = _binomial_stein(m, theta, pi, mask)
+            assert list(report) == [field.name for field in fields(BinomialSteinReport)]
+            for column, row in enumerate(mask):
+                members = np.flatnonzero(row)
+                wanted, wanted_residual, wanted_delta = scalar_binomial_stein(
+                    m, theta, pi, members, 64
+                )
+                assert np.array_equal(g[:, column], wanted)
+                assert residual_sup[column] == wanted_residual
+                assert report["delta_sup"][column] == wanted_delta
+                assert tuple(
+                    report[name][column] for name in
+                    ("inequality_min_slack", "delta_at_m_error", "tail_delta_max", "tail_slope")
+                ) == scalar_lemma31(wanted, m, theta, pi, members)
+                single = solve_binomial_stein(m, theta, members)
+                assert np.array_equal(single.g, wanted)
+                assert (single.residual_sup, single.delta_sup) == (wanted_residual, wanted_delta)
+                checked = astuple(check_binomial_lemma31(single, m, theta, members))
+                assert checked == tuple(values[column] for values in report.values())
 
     def test_subset_forms_normalize_alike(self):
         setup = NbSteinSetup.from_rq(3.0, 0.4)
@@ -272,6 +297,37 @@ class TestBatchedSolves:
                 solve_nb_stein(setup, subset)
         with pytest.raises(ValueError, match=r"^subset must lie within 0\.\.66$"):
             solve_binomial_stein(2, 0.5, np.array([67]))
+
+    def test_empty_forms_are_the_empty_set(self):
+        setup = NbSteinSetup.from_rq(3.0, 0.4)
+        wanted = solve_nb_stein(setup, [])
+        for subset in (np.array([]), set(), (), np.array([], dtype=np.uint8)):
+            assert np.array_equal(solve_nb_stein(setup, subset).g, wanted.g)
+
+    @pytest.mark.parametrize(
+        "subset",
+        [
+            np.array([True, True, False, False]),  # a mask, not the points {0, 1}
+            [True, False],
+            [1.5],
+            np.array([2.7]),
+            np.array([1.0, 3.0]),
+            ["3"],
+            [1, "2"],
+        ],
+        ids=["bool-mask", "bool-list", "float", "float-array", "integral-floats", "string",
+             "mixed"],
+    )
+    def test_subsets_that_are_not_integer_points_are_refused(self, subset):
+        setup = NbSteinSetup.from_rq(3.0, 0.4)
+        message = r"^subset must hold integer points, got dtype "
+        with pytest.raises(ValueError, match=message):
+            solve_nb_stein(setup, subset)
+        with pytest.raises(ValueError, match=message):
+            solve_binomial_stein(10, 0.3, subset)
+        solution = solve_binomial_stein(10, 0.3, [])
+        with pytest.raises(ValueError, match=message):
+            check_binomial_lemma31(solution, 10, 0.3, subset)
 
 
 class TestVerifyLemma24:
