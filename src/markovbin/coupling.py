@@ -8,13 +8,14 @@ mass |beta - alpha| keeps them split, and from the diagonal they move as one
 chain.
 
 Both first-passage samplers share one engine: copies of a 4-state chain
-started at state 2, moved by inverse-cdf tables, record their first entry
-into {0, 3} and into 0: the meeting time and the joint visit to 0 of the
-pair encoded as s = 2*z1 + z0, or the ends of the 0-block (states 1 and 2)
-and of the 1-block (state 3).  A copy moves by whole runs inside its class,
-the split pair {1, 2} or the state 3, whose lengths are geometric: one
-uniform gives a run's length by inversion (Devroye 1986) and one the state
-it exits to, so a copy's cost does not grow with its passage times.
+started at state 2, moved by its 4 x 4 one-step mass matrix, record their
+first entry into {0, 3} and into 0: the meeting time and the joint visit to
+0 of the pair encoded as s = 2*z1 + z0, or the ends of the 0-block (states
+1 and 2) and of the 1-block (state 3).  A copy moves by whole runs inside
+its class, the split pair {1, 2} or the state 3, whose lengths are
+geometric: one uniform gives a run's length by inversion (Devroye 1986) and
+one the state it exits to, so a copy's cost does not grow with its passage
+times.
 
 Streams are counter-based: block e of draws comes from a Philox generator
 whose 256-bit counter encodes (purpose, e), and sample i reads position i
@@ -182,44 +183,32 @@ class MeetingSamples:
         return float(np.mean(self.tau >= m))
 
 
-def _kernel_table(params: ChainParams) -> tuple[np.ndarray, ...]:
-    """Inverse-cdf tables of ``coupled_transition_law`` by encoded state
-    s = 2*z1 + z0, so that 0 and 3 are the diagonal.
-
-    A uniform u moves the pair from s to 0 if u < t1[s], to 3 if
-    u < t2[s], and to out3[s] otherwise: the split state the law keeps its
-    leftover mass on, or 3 when it keeps none there.
-    """
-    t1, t2 = np.empty(4), np.empty(4)
-    out3 = np.full(4, 3, dtype=np.int8)
+def _kernel_matrix(params: ChainParams) -> np.ndarray:
+    """``coupled_transition_law`` as a 4 x 4 one-step mass matrix:
+    mass[s, j] moves the pair from s to j, states encoded as s = 2*z1 + z0,
+    so that 0 and 3 are the diagonal."""
+    mass = np.zeros((4, 4))
     for s in range(4):
-        law = coupled_transition_law(params, CoupledState(z1=s >> 1, z0=s & 1))
-        t1[s] = law[(0, 0)]
-        t2[s] = law[(0, 0)] + law[(1, 1)]
-        for z1, z0 in law:
-            if z1 != z0:
-                out3[s] = 2 * z1 + z0
-    return t1, t2, out3
+        for (z1, z0), p in coupled_transition_law(params, CoupledState(s >> 1, s & 1)).items():
+            mass[s, 2 * z1 + z0] = p
+    return mass
 
 
 def _first_passages(
-    table: tuple[np.ndarray, ...], num_samples: int, seed: int, purpose: int, step_cap: int
+    mass: np.ndarray, num_samples: int, seed: int, purpose: int, step_cap: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Run copies of a 4-state chain from state 2 through ``table``, the
-    ``(t1, t2, out3)`` of ``_kernel_table``.  Returns each copy's first entry
-    time into {0, 3} and into 0 (0 if not within ``step_cap`` steps), whether
-    it reached 0, and the moves within the cap that left {0, 3} after entry.
+    """Run copies of a 4-state chain from state 2 through ``mass``, its
+    one-step mass matrix.  Returns each copy's first entry time into {0, 3}
+    and into 0 (0 if not within ``step_cap`` steps), whether it reached 0,
+    and the moves within the cap that left {0, 3} after entry.
 
     A copy moves by runs inside a class: the split pair {1, 2}, lumped once
-    the table gives both the same masses to 0 and 3, or the state 3.  Round r
-    reads its word of block 2r - 1 for the run length 1 + floor(log U /
+    the matrix gives both the same masses to 0 and 3, or the state 3.  Round
+    r reads its word of block 2r - 1 for the run length 1 + floor(log U /
     log1p(-exit)), U in (0, 1], capped at step_cap + 1, and of block 2r for
     an uncertain exit: to 0 below an integer threshold, else from the pair to
     3 or from 3 to the pair.  Copies are grouped by (class, entered {0, 3}).
     """
-    t1, t2, out3 = table
-    rows = [np.bincount([0, 3, out3[s]], [t1[s], t2[s] - t1[s], 1.0 - t2[s]], 4) for s in range(4)]
-    mass = np.array(rows)  # mass[s, j]: the table's one-step mass from s to j
     if not np.array_equal(mass[1, [0, 3]], mass[2, [0, 3]]):
         raise AssertionError("split states 1 and 2 move to 0 and 3 with different masses")
     # class -> its exit masses to 0 and to its other exit, and that exit
@@ -274,7 +263,7 @@ def sample_meeting_times(
     if not 1 <= step_cap <= _MAX_STEPS:
         raise ValueError("step_cap must be >= 1 and < 2**62")
     varsigma, tau, done, violations = _first_passages(
-        _kernel_table(params), num_samples, seed, _PURPOSE_MEETING, step_cap
+        _kernel_matrix(params), num_samples, seed, _PURPOSE_MEETING, step_cap
     )
     varsigma[varsigma == 0] = step_cap
     tau[~done] = step_cap
@@ -302,6 +291,8 @@ def sample_blocks(params: ChainParams, num_samples: int, seed: int) -> BlockSamp
     On the coupled pair's engine the 0-block, the 1-block and done are the
     split pair, the state 3 and the state 0, so the blocks end at the first
     entries into 3 and 0: xi_odd = varsigma - 1, xi_even = tau - varsigma - 1.
+    The block chain's mass matrix keeps a split state with probability
+    1 - alpha, else moves it to 3, and keeps 3 with probability beta, else 0.
 
     Raises ``ValueError`` naming alpha and beta where a sample's blocks last
     2**62 steps, past safe int64 counts: only where alpha is below about 1e-17.
@@ -309,9 +300,8 @@ def sample_blocks(params: ChainParams, num_samples: int, seed: int) -> BlockSamp
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     a, b = params.alpha, params.beta
-    # every state's leftover mass keeps it where it is
-    table = (np.array([1.0, 0.0, 0.0, 1.0 - b]), np.array([1.0, a, a, 1.0]), np.arange(4))
-    varsigma, tau, done, _ = _first_passages(table, num_samples, seed, _PURPOSE_BLOCKS, _MAX_STEPS)
+    mass = np.array([[1, 0, 0, 0], [0, 1 - a, 0, a], [0, 0, 1 - a, a], [1 - b, 0, 0, b]])
+    varsigma, tau, done, _ = _first_passages(mass, num_samples, seed, _PURPOSE_BLOCKS, _MAX_STEPS)
     if not done.all():
         raise ValueError(f"alpha = {a!r}, beta = {b!r}: block counts reach 2**62, past int64")
     return BlockSamples(xi_odd=varsigma - 1, xi_even=tau - varsigma - 1)

@@ -259,19 +259,29 @@ def _kernels() -> dict:
     }
 
 
-def _tabulated(family: str, args: tuple, mean: float, std: float, tol: float = PMF_TOL) -> Pmf:
-    """Mass of the ``family`` law with parameters ``args`` on {0..N}, with
-    its tail mass, where N is the 1 - TRUNCATION_MASS quantile, capped at
-    10*(mean + 10*std).
+def _tabulated(family: str, args: dict, mean: float, std: float, tol: float = PMF_TOL) -> Pmf:
+    """Mass of the ``family`` law with parameters ``args`` (by name) on
+    {0..N}, with its tail mass, where N is the 1 - TRUNCATION_MASS quantile,
+    capped at 10*(mean + 10*std).
 
     Masses and tail are clipped to [0, 1], as ``scipy.stats`` clips them, so
     the values equal ``scipy.stats.<family>.pmf`` and ``.sf`` bit for bit.
+
+    A mean of 2**53 or more, or a quantile that is not finite, raises
+    ``ValueError`` naming the parameters: past 2**53 the support points are
+    no longer exact doubles, and the quantile kernels return NaN or do not
+    return at all.
     """
     pmf, sf, ppf = _kernels()[family]
+    quantile = float(ppf(1.0 - TRUNCATION_MASS, *args.values())) if mean < 2.0**53 else None
+    if quantile is None or not math.isfinite(quantile):
+        named = ", ".join(f"{name} = {value!r}" for name, value in args.items())
+        why = f"mean {mean!r}, 2**53 or more" if quantile is None else f"quantile {quantile!r}"
+        raise ValueError(f"{named}: cannot tabulate a law with {why}")
     cap = int(math.ceil(10.0 * (mean + 10.0 * std))) + 1
-    trunc = max(1, min(int(ppf(1.0 - TRUNCATION_MASS, *args)), cap))
-    mass = np.clip(pmf(np.arange(trunc + 1), *args), 0.0, 1.0)
-    tail = float(np.clip(sf(trunc, *args), 0.0, 1.0))
+    trunc = max(1, min(int(quantile), cap))
+    mass = np.clip(pmf(np.arange(trunc + 1), *args.values()), 0.0, 1.0)
+    tail = float(np.clip(sf(trunc, *args.values()), 0.0, 1.0))
     return Pmf(mass, tail=tail, tol=tol)
 
 
@@ -290,13 +300,14 @@ def nb_pmf(r: float, q: float) -> Pmf:
     if q == 1.0:
         return Pmf(np.ones(1))
     mean = r * (1.0 - q) / q
-    return _tabulated("nbinom", (r, q), mean, math.sqrt(mean / q))
+    return _tabulated("nbinom", {"r": r, "q": q}, mean, math.sqrt(mean / q))
 
 
 def binomial_pmf(m: int, theta: float) -> Pmf:
-    """Binomial Bi(m, theta) mass on its support {0..m}."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    """Binomial Bi(m, theta) mass on its support {0..m}.  An m of 2**53 or
+    more raises ValueError: its support points are no longer exact doubles."""
+    if not 1 <= m < 2**53:
+        raise ValueError(f"m must be a positive integer below 2**53, got {m!r}")
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
     (pmf,) = _kernels()["binom"]
@@ -329,7 +340,7 @@ def poisson_pmf(lam: float) -> Pmf:
         raise ValueError(f"lam must be non-negative and finite, got {lam!r}")
     if lam == 0.0:
         return Pmf(np.ones(1))
-    return _tabulated("poisson", (lam,), lam, math.sqrt(lam), _poisson_tol(lam))
+    return _tabulated("poisson", {"lam": lam}, lam, math.sqrt(lam), _poisson_tol(lam))
 
 
 def _reference(fit: NbFit | BinFit) -> Pmf:

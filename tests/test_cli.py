@@ -796,8 +796,8 @@ def _unshared_row(params, n, seed, coupling_seed, checks):
     coupling check runs on ``coupling_seed``, the seed of the first row of
     the point's (alpha, beta)."""
     from markovbin.cli import (
-        _SWEEP_COUPLING, _check_bounds, _coupling, _lemma21, _lemma24, _sweep_indices,
-        _sweep_stein, _verdict,
+        _SWEEP_COUPLING, _SWEEP_STEIN_SUBSETS, _check_bounds, _coupling, _lemma21, _lemma24,
+        _stein, _sweep_indices, _verdict,
     )
     from markovbin.fit import _reference
 
@@ -810,9 +810,10 @@ def _unshared_row(params, n, seed, coupling_seed, checks):
         try:
             fit = fit_for(params, n)
         except DegenerateFitError:
-            fit = None
-        reference = None if fit is None else _reference(fit)
-        row["check_stein"] = _verdict(_sweep_stein(fit, reference, seed))
+            row["check_stein"] = "skipped"  # a degenerate fit has nothing to solve
+        else:
+            stein = _stein(fit, _reference(fit), seed, _SWEEP_STEIN_SUBSETS)
+            row["check_stein"] = _verdict(stein)
     if "coupling" in checks:
         row["check_coupling"] = _verdict(_coupling(params, coupling_seed, *_SWEEP_COUPLING))
     if "lemma21" in checks:

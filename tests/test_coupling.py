@@ -23,7 +23,7 @@ from markovbin.coupling import (
     _PURPOSE_MEETING,
     DEFAULT_STEP_CAP,
     _block_words,
-    _kernel_table,
+    _kernel_matrix,
     _stream,
 )
 
@@ -282,39 +282,39 @@ class TestPinnedStreams:
         i = int(np.argmax(uniforms >= 0.5))
         for cut, tau_wanted in ((uniforms[i], 2), (np.nextafter(uniforms[i], 1.0), 1)):
             # the split pair moves to 0 below cut and to 3 above it; 3 moves to 0
-            table = (np.array([1.0, cut, cut, 1.0]), np.ones(4), np.full(4, 3, dtype=np.int8))
-            _, tau, _, _ = coupling._first_passages(table, i + 1, 17, _PURPOSE_MEETING, 5)
+            mass = np.array([[1, 0, 0, 0], [cut, 0, 0, 1 - cut], [cut, 0, 0, 1 - cut], [1, 0, 0, 0]])
+            _, tau, _, _ = coupling._first_passages(mass, i + 1, 17, _PURPOSE_MEETING, 5)
             assert tau[i] == tau_wanted
 
 
 class TestAbsorptionGuard:
     """The sampler does not move a sample after it reaches 0, so the
-    diagonal's absorption is checked on the kernel table itself, and the
-    violation count on a table that breaks it."""
+    diagonal's absorption is checked on the kernel matrix itself, and the
+    violation count on a matrix that breaks it."""
 
     def test_diagonal_rows_stay_on_diagonal(self):
         rates = [1e-9, 0.005, 0.1, 0.3, 0.35, 0.5, 0.8, 0.995, 1 - 1e-9]
         for alpha in rates:
             for beta in rates:
-                t1, t2, out3 = _kernel_table(ChainParams(alpha, beta))
-                assert np.all(t1 <= t2), (alpha, beta)
-                # row s moves to 0, to 3 or to out3[s]: from 0 and 3 all
-                # three are diagonal
-                assert out3[0] in (0, 3) and out3[3] in (0, 3), (alpha, beta)
+                params = ChainParams(alpha, beta)
+                mass = _kernel_matrix(params)
+                assert np.array_equal(mass, _one_step_matrix(params)), (alpha, beta)
+                assert np.all(mass >= 0.0), (alpha, beta)
+                # from 0 and 3 no mass reaches the split states 1 and 2
+                assert not mass[np.ix_([0, 3], [1, 2])].any(), (alpha, beta)
 
-    def test_leaking_table_counts_violations(self, monkeypatch):
-        monkeypatch.setattr(coupling, "_kernel_table", lambda params: _leaking_table())
+    def test_leaking_matrix_counts_violations(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_kernel_matrix", lambda params: _leaking_matrix())
         runs = sample_meeting_times(ChainParams(0.3, 0.6), 2000, seed=17)
         assert runs.absorption_violations > 0
 
 
-def _leaking_table():
-    # row 3 sends a third of its mass to the split state 2
-    t1, t2, out3 = _kernel_table(ChainParams(0.3, 0.6))
-    broken = (t1, t2.copy(), out3.copy())
-    broken[1][3] = t1[3] + (1.0 - t1[3]) * 2.0 / 3.0
-    broken[2][3] = 2
-    return broken
+def _leaking_matrix():
+    # row 3 moves to the split state 2 with a third of the mass it kept on 3
+    mass = _kernel_matrix(ChainParams(0.3, 0.6))
+    mass[3, 2] = mass[3, 3] / 3.0
+    mass[3, 3] -= mass[3, 2]
+    return mass
 
 
 def _one_step_matrix(params):
@@ -426,11 +426,10 @@ class TestExactLaws:
         _assert_cells(joint, np.outer(odd, even), self.SAMPLES)
 
     def test_split_rows_that_differ_are_not_lumped(self):
-        t1, t2, out3 = _kernel_table(ChainParams(0.3, 0.6))
-        t1 = t1.copy()
-        t1[1] += 0.1  # state 1 moves to 0 more often than state 2
+        mass = _kernel_matrix(ChainParams(0.3, 0.6))
+        mass[1, [0, 3]] += [0.1, -0.1]  # state 1 moves to 0 more often than state 2
         with pytest.raises(AssertionError, match="different masses"):
-            coupling._first_passages((t1, t2, out3), 10, 17, _PURPOSE_MEETING, 100)
+            coupling._first_passages(mass, 10, 17, _PURPOSE_MEETING, 100)
 
 
 class TestCornerInputs:
@@ -446,15 +445,16 @@ class TestCornerInputs:
         assert abs(blocks.xi_odd.mean() - 1e9) <= 5 * 1e9 / math.sqrt(1000)
 
     def test_slow_meeting_ends_in_a_second(self):
-        params = ChainParams(1e-6, 0.999999)
-        sample_meeting_times(params, 10, 0)
-        start = time.perf_counter()
-        runs = sample_meeting_times(params, 1_000_000, 0)
-        assert time.perf_counter() - start < 1.0
-        # most pairs are still split at the cap: P(varsigma >= cap) = |beta - alpha|**(cap - 1)
-        target = abs(params.beta - params.alpha) ** (DEFAULT_STEP_CAP - 1)
-        sigma = math.sqrt(target * (1.0 - target) / 1_000_000)
-        assert abs(runs.varsigma_tail(DEFAULT_STEP_CAP) - target) <= 5 * sigma
+        # with beta < alpha the leftover mass swaps orientation at every step
+        for params in (ChainParams(1e-6, 0.999999), ChainParams(0.999999, 1e-6)):
+            sample_meeting_times(params, 10, 0)
+            start = time.perf_counter()
+            runs = sample_meeting_times(params, 1_000_000, 0)
+            assert time.perf_counter() - start < 1.0, params
+            # most pairs are still split at the cap: P(varsigma >= cap) = |beta - alpha|**(cap - 1)
+            target = abs(params.beta - params.alpha) ** (DEFAULT_STEP_CAP - 1)
+            sigma = math.sqrt(target * (1.0 - target) / 1_000_000)
+            assert abs(runs.varsigma_tail(DEFAULT_STEP_CAP) - target) <= 5 * sigma, params
 
     def test_block_counts_past_int64_raise(self):
         with pytest.raises(ValueError, match=r"alpha = 1e-300, beta = 0\.5"):

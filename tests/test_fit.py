@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -269,6 +272,35 @@ class TestPoissonPmf:
 def test_non_finite_parameters_rejected(build, name):
     with pytest.raises(ValueError, match=rf"^{name} must be"):
         build()
+
+
+def test_huge_parameters_rejected():
+    # past a mean of 2**53 the support points are not exact doubles; beyond
+    # lam of about 1.13e11 the Poisson quantile is NaN.  A subprocess with a
+    # timeout, so that a quantile kernel that does not return fails the test.
+    calls = {
+        "nb_pmf(1e17, 0.5)": "r",
+        "nb_pmf(1e20, 0.5)": "r",
+        "nb_pmf(1e300, 0.5)": "r",
+        "poisson_pmf(1e12)": "lam",
+        "poisson_pmf(1e300)": "lam",
+        "binomial_pmf(2**53, 0.5)": "m",
+    }
+    code = "from markovbin import binomial_pmf, nb_pmf, poisson_pmf\n" + "".join(
+        f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n"
+        f"else:\n    print('returned')\n"
+        for call in calls
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nb_pmf.__code__.co_filename)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    lines = result.stdout.splitlines()
+    assert len(lines) == len(calls), result.stdout
+    for (call, name), line in zip(calls.items(), lines):
+        assert line.startswith(f"{name} "), (call, line)
 
 
 def _stats_law(law, args, mean, std):
