@@ -106,16 +106,13 @@ class BoundReport:
     def __post_init__(self) -> None:
         if math.isnan(self.bound_value):
             raise ConsistencyError("bound_value is nan")
-        recomputed = self.recompute_from_breakdown()
+        recomputed = _bound_value(self.term_breakdown)
         if abs(recomputed - self.bound_value) > 1e-12 * max(1.0, abs(self.bound_value)):
             raise ConsistencyError(
                 f"bound {self.bound_value!r} does not match its breakdown ({recomputed!r})"
             )
         if self.clipped_value != min(1.0, self.bound_value):
             raise ConsistencyError("clipped_value must be min(1, bound_value)")
-
-    def recompute_from_breakdown(self) -> float:
-        return _bound_value(self.term_breakdown)
 
 
 def _bound_value(breakdown: dict[str, float]) -> float:

@@ -63,13 +63,6 @@ class ChainParams:
             if not (0.0 < float(value) < 1.0):
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {value!r}")
 
-    @property
-    def transition_matrix(self) -> np.ndarray:
-        """Row-stochastic matrix [[1-alpha, alpha], [1-beta, beta]]."""
-        return np.array(
-            [[1.0 - self.alpha, self.alpha], [1.0 - self.beta, self.beta]]
-        )
-
 
 @dataclass(frozen=True)
 class StationaryLaw:

@@ -1,5 +1,4 @@
-"""Seeded Monte Carlo for the chain, for the coupled pair of chains and for
-the chain's regeneration blocks.
+"""Seeded Monte Carlo for the chain and for the coupled pair of chains.
 
 The coupled pair moves two copies of the chain, one started at 1 and one at
 0, under the joint kernel that meets them as fast as possible: from a split
@@ -7,15 +6,14 @@ state both land on j together with probability min(p0j, p1j), the residual
 mass |beta - alpha| keeps them split, and from the diagonal they move as one
 chain.
 
-Both first-passage samplers share one engine: copies of a 4-state chain
-started at state 2, moved by its 4 x 4 one-step mass matrix, record their
-first entry into {0, 3} and into 0: the meeting time and the joint visit to
-0 of the pair encoded as s = 2*z1 + z0, or the ends of the 0-block (states
-1 and 2) and of the 1-block (state 3).  A copy moves by whole runs inside
-its class, the split pair {1, 2} or the state 3, whose lengths are
-geometric: one uniform gives a run's length by inversion (Devroye 1986) and
-one the state it exits to, so a copy's cost does not grow with its passage
-times.
+The meeting sampler runs copies of the pair as a 4-state chain, the states
+encoded as s = 2*z1 + z0, started at state 2 and moved by its 4 x 4
+one-step mass matrix; each copy records its first entry into the diagonal
+{0, 3} (the meeting time) and into 0 (the joint visit to 0).  A copy moves
+by whole runs inside its class, the split pair {1, 2} or the state 3, whose
+lengths are geometric: one uniform gives a run's length by inversion
+(Devroye 1986) and one the state it exits to, so a copy's cost does not
+grow with its passage times.
 
 Streams are counter-based: block e of draws comes from a Philox generator
 whose 256-bit counter encodes (purpose, e), and sample i reads position i
@@ -35,12 +33,10 @@ from .core import ChainParams, Pmf, stationary_law
 __all__ = [
     "CoupledState",
     "MeetingSamples",
-    "BlockSamples",
     "sample_sums",
     "empirical_pmf",
     "coupled_transition_law",
     "sample_meeting_times",
-    "sample_blocks",
 ]
 
 # Joint visits to 0 are simulated at most this many steps; a capped sample is
@@ -55,7 +51,6 @@ _MAX_STEPS = 2**62 - 1
 
 _PURPOSE_SUMS = 1
 _PURPOSE_MEETING = 2
-_PURPOSE_BLOCKS = 3
 
 _KEY_MASK = (1 << 128) - 1
 _WORD_MASK = (1 << 64) - 1
@@ -174,14 +169,6 @@ class MeetingSamples:
     censored: np.ndarray
     absorption_violations: int
 
-    def varsigma_tail(self, m: int) -> float:
-        """Empirical P(varsigma >= m)."""
-        return float(np.mean(self.varsigma >= m))
-
-    def tau_tail(self, m: int) -> float:
-        """Empirical P(tau >= m); censored samples count as >= cap."""
-        return float(np.mean(self.tau >= m))
-
 
 def _kernel_matrix(params: ChainParams) -> np.ndarray:
     """``coupled_transition_law`` as a 4 x 4 one-step mass matrix:
@@ -195,7 +182,7 @@ def _kernel_matrix(params: ChainParams) -> np.ndarray:
 
 
 def _first_passages(
-    mass: np.ndarray, num_samples: int, seed: int, purpose: int, step_cap: int
+    mass: np.ndarray, num_samples: int, seed: int, step_cap: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Run copies of a 4-state chain from state 2 through ``mass``, its
     one-step mass matrix.  Returns each copy's first entry time into {0, 3}
@@ -215,7 +202,7 @@ def _first_passages(
     exits = {2: (mass[2, 0], mass[2, 3], 3), 3: (mass[3, 0], mass[3, 1] + mass[3, 2], 2)}
     varsigma, tau, entered = (np.zeros(num_samples, dtype=np.int64) for _ in range(3))
     groups, violations, block = {(2, False): np.arange(num_samples)}, 0, 0
-    block_words = _block_words(seed, purpose)
+    block_words = _block_words(seed, _PURPOSE_MEETING)
     while groups:
         size = max(int(idx.max()) for idx in groups.values()) + 1
         run_words, exit_words = block_words(block + 1, size), None
@@ -263,45 +250,9 @@ def sample_meeting_times(
     if not 1 <= step_cap <= _MAX_STEPS:
         raise ValueError("step_cap must be >= 1 and < 2**62")
     varsigma, tau, done, violations = _first_passages(
-        _kernel_matrix(params), num_samples, seed, _PURPOSE_MEETING, step_cap
+        _kernel_matrix(params), num_samples, seed, step_cap
     )
     varsigma[varsigma == 0] = step_cap
     tau[~done] = step_cap
     return MeetingSamples(varsigma, tau, censored=~done, absorption_violations=violations)
 
-
-@dataclass(frozen=True, eq=False)
-class BlockSamples:
-    """Revisit counts of one regeneration cycle per sample: xi_odd revisits
-    of 0 before the move to 1, then xi_even revisits of 1 before the move
-    back to 0."""
-
-    xi_odd: np.ndarray
-    xi_even: np.ndarray
-
-
-def sample_blocks(params: ChainParams, num_samples: int, seed: int) -> BlockSamples:
-    """Simulate one 0-block then one 1-block of the chain per sample.
-
-    Starting at 0, each step stays (one more revisit) with probability
-    1 - alpha or moves to 1; the 1-block then counts revisits with stay
-    probability beta.  The two counts of a sample are independent by the
-    regenerative structure.
-
-    On the coupled pair's engine the 0-block, the 1-block and done are the
-    split pair, the state 3 and the state 0, so the blocks end at the first
-    entries into 3 and 0: xi_odd = varsigma - 1, xi_even = tau - varsigma - 1.
-    The block chain's mass matrix keeps a split state with probability
-    1 - alpha, else moves it to 3, and keeps 3 with probability beta, else 0.
-
-    Raises ``ValueError`` naming alpha and beta where a sample's blocks last
-    2**62 steps, past safe int64 counts: only where alpha is below about 1e-17.
-    """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    a, b = params.alpha, params.beta
-    mass = np.array([[1, 0, 0, 0], [0, 1 - a, 0, a], [0, 0, 1 - a, a], [1 - b, 0, 0, b]])
-    varsigma, tau, done, _ = _first_passages(mass, num_samples, seed, _PURPOSE_BLOCKS, _MAX_STEPS)
-    if not done.all():
-        raise ValueError(f"alpha = {a!r}, beta = {b!r}: block counts reach 2**62, past int64")
-    return BlockSamples(xi_odd=varsigma - 1, xi_even=tau - varsigma - 1)

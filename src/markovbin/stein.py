@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import bound_constants, gamma_fn
 from .core import ChainParams, Pmf, _check_laws, _exact_laws, _exact_tol
-from .fit import NbFit, _reference, binomial_pmf, fit_negative_binomial, nb_pmf, poisson_pmf
+from .fit import NbFit, _reference, binomial_pmf, fit_negative_binomial
 
 __all__ = [
     "NbSteinSetup",
@@ -72,18 +72,6 @@ class NbSteinSetup:
             raise ValueError(f"a must be positive, got {self.a!r}")
         if not 0.0 <= self.b < 1.0:
             raise ValueError(f"b must lie in [0, 1), got {self.b!r}")
-
-    @classmethod
-    def from_rq(cls, r: float, q: float) -> "NbSteinSetup":
-        """Setup for NB(r, q): a = r*(1-q), b = 1-q."""
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"q must lie in (0, 1), got {q!r}")
-        return cls(a=r * (1.0 - q), b=1.0 - q, target=nb_pmf(r, q))
-
-    @classmethod
-    def poisson(cls, lam: float) -> "NbSteinSetup":
-        """Poisson setup, the b = 0 reduction of the operator."""
-        return cls(a=lam, b=0.0, target=poisson_pmf(lam))
 
     @classmethod
     def from_chain(cls, params: ChainParams, n: int) -> "NbSteinSetup":

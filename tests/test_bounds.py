@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from markovbin import (
@@ -15,9 +16,31 @@ from markovbin import (
     fit_binomial,
     gamma_fn,
 )
+from markovbin.bounds import _bound_value
+
+
+def _geometric_moments(stay):
+    """Mean and variance of the revisit count N with P(N = j) = (1 - stay) * stay**j,
+    j >= 0, as series sums at mpmath's working precision."""
+    mean = mpmath.nsum(lambda j: j * (1 - stay) * stay**j, [0, mpmath.inf])
+    second = mpmath.nsum(lambda j: j * j * (1 - stay) * stay**j, [0, mpmath.inf])
+    return float(mean), float(second - mean**2)
 
 
 class TestBoundConstants:
+    @pytest.mark.parametrize(
+        "alpha,beta", [(0.1, 0.8), (0.3, 0.6), (0.5, 0.5), (1e-3, 0.999), (0.999, 1e-3)]
+    )
+    def test_block_moments_are_geometric_series(self, alpha, beta):
+        # the 0-block's revisit count stays with probability 1 - alpha, the
+        # 1-block's with probability beta
+        consts = bound_constants(ChainParams(alpha, beta))
+        with mpmath.workdps(30):
+            odd = _geometric_moments(1 - mpmath.mpf(alpha))
+            even = _geometric_moments(mpmath.mpf(beta))
+        assert (consts.mu1, consts.sigma1_sq) == pytest.approx(odd, rel=1e-14, abs=0.0)
+        assert (consts.mu2, consts.sigma2_sq) == pytest.approx(even, rel=1e-14, abs=0.0)
+
     def test_reference_point(self):
         consts = bound_constants(ChainParams(0.1, 0.8))
         assert consts.mu1 == pytest.approx(9.0, rel=1e-14)
@@ -124,7 +147,7 @@ class TestBoundNb:
         terms = report.term_breakdown
         assert terms["prefactor"] == 0.0 and terms["bracket_linear"] == math.inf
         assert (report.bound_value, report.clipped_value) == (0.0, 0.0)
-        assert report.recompute_from_breakdown() == 0.0
+        assert _bound_value(terms) == 0.0
 
 
 class TestBoundBinomial:

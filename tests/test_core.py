@@ -39,11 +39,6 @@ class TestChainParams:
         with pytest.raises(ValueError):
             ChainParams(alpha, beta)
 
-    def test_transition_matrix_rows(self):
-        matrix = ChainParams(0.3, 0.6).transition_matrix
-        assert np.allclose(matrix.sum(axis=1), 1.0)
-        assert matrix[0, 1] == 0.3 and matrix[1, 1] == 0.6
-
 
 class TestStationaryLaw:
     def test_equal_rates_give_alpha(self):

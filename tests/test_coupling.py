@@ -11,7 +11,6 @@ from markovbin import (
     coupled_transition_law,
     empirical_pmf,
     exact_pmf,
-    sample_blocks,
     sample_meeting_times,
     sample_sums,
     tv_distance,
@@ -19,8 +18,8 @@ from markovbin import (
 from markovbin import coupling
 from markovbin.cli import _coupling
 from markovbin.coupling import (
-    _PURPOSE_BLOCKS,
     _PURPOSE_MEETING,
+    _PURPOSE_SUMS,
     DEFAULT_STEP_CAP,
     _block_words,
     _kernel_matrix,
@@ -67,7 +66,7 @@ class TestCoupledKernel:
         # each coordinate, viewed alone, moves by its own row of the
         # transition matrix; checked by exact enumeration of the kernel
         params = ChainParams(alpha, beta)
-        matrix = params.transition_matrix
+        matrix = np.array([[1.0 - alpha, alpha], [1.0 - beta, beta]])
         for z1 in (0, 1):
             for z0 in (0, 1):
                 law = coupled_transition_law(params, CoupledState(z1, z0))
@@ -118,34 +117,7 @@ class TestMeetingTimes:
         assert int(runs.censored.sum()) > 0
         assert np.all(runs.tau[runs.censored] == 2)
         # censored runs count as >= cap in tail fractions
-        assert runs.tau_tail(2) >= float(np.mean(runs.censored))
-
-
-class TestBlocks:
-    def test_mean_one_at_half(self):
-        blocks = sample_blocks(ChainParams(0.5, 0.3), 100_000, seed=21)
-        assert blocks.xi_odd.mean() == pytest.approx(1.0, abs=0.03)
-        blocks = sample_blocks(ChainParams(0.3, 0.5), 100_000, seed=22)
-        assert blocks.xi_even.mean() == pytest.approx(1.0, abs=0.03)
-
-    def test_matches_block_constants(self):
-        blocks = sample_blocks(ChainParams(0.1, 0.8), 400_000, seed=23)
-        assert blocks.xi_odd.mean() == pytest.approx(9.0, rel=0.02)
-        assert blocks.xi_even.mean() == pytest.approx(4.0, rel=0.02)
-        assert blocks.xi_odd.var() == pytest.approx(90.0, rel=0.05)
-        assert blocks.xi_even.var() == pytest.approx(20.0, rel=0.05)
-
-    def test_components_uncorrelated(self):
-        blocks = sample_blocks(ChainParams(0.3, 0.6), 200_000, seed=24)
-        corr = np.corrcoef(blocks.xi_odd, blocks.xi_even)[0, 1]
-        assert abs(corr) <= 0.01
-
-    def test_prefix_stable_in_num_samples(self):
-        params = ChainParams(0.2, 0.7)
-        small = sample_blocks(params, 8, seed=25)
-        large = sample_blocks(params, 9000, seed=25)
-        assert np.array_equal(small.xi_odd, large.xi_odd[:8])
-        assert np.array_equal(small.xi_even, large.xi_even[:8])
+        assert np.mean(runs.tau >= 2) >= np.mean(runs.censored)
 
 
 def _digest(*columns):
@@ -170,16 +142,6 @@ class TestPinnedStreams:
         (0.3, 0.6, 5):
             "60e4fe3f1bb520665e4a5cfd483e91e755df37e3e18f44af9534eb073bd31f88",
     }
-    BLOCKS = {
-        (0.3, 0.6):
-            "49a1b3b64a3723bcc5b411bce096fdb886b040888825de9378dac6e5ea1259d4",
-        (0.6, 0.3):
-            "e53159daf6e7dd327a86b025e80909e4b65c2ee706e6788f5a1087c4abc515e1",
-        (0.4, 0.4):
-            "3fba524b6eca68907588560babc49a6261e8e2529832996ea8c993f63a3e7622",
-        (0.005, 0.995):
-            "ba4126f35b8fc7f082073f80ec8b3a256ee2091082697a046815bfafd9e7743b",
-    }
 
     @pytest.mark.parametrize("alpha,beta,step_cap", list(MEETING))
     def test_meeting_times(self, alpha, beta, step_cap):
@@ -190,53 +152,32 @@ class TestPinnedStreams:
         if step_cap == 5:
             assert np.any(runs.censored)
 
-    @pytest.mark.parametrize("alpha,beta", list(BLOCKS))
-    def test_blocks(self, alpha, beta):
-        blocks = sample_blocks(ChainParams(alpha, beta), 2000, seed=17)
-        assert _digest(blocks.xi_odd, blocks.xi_even) == self.BLOCKS[alpha, beta]
-
-    # (meeting, blocks) digests at seed 17 for the sweep check's two regimes
-    # and sample counts from one sample to its 20 000, pinned from the
-    # class-run sampler
+    # meeting digests at seed 17 for the sweep check's two regimes and
+    # sample counts from one sample to its 20 000, pinned from the class-run
+    # sampler
     HOT = {
-        (0.1, 0.45, 1): (
+        (0.1, 0.45, 1):
             "38bc886a02414ca2ad4c4effc9b28d8732d257bd4bb8f9c7105cd30fb9634d9c",
-            "966a28d35016032ee27b1860df4a9b16b6c007da76b2e4f94e7526e31c48959b",
-        ),
-        (0.1, 0.45, 7): (
+        (0.1, 0.45, 7):
             "2ce7f1e9017e192ae33514b778e2b7947e27441cb5a098989fe32509bb80741e",
-            "a9998765dcf74c0670d8dde219f159bc976c02b56ed1f0746b7c0302bc091e57",
-        ),
-        (0.1, 0.45, 4097): (
+        (0.1, 0.45, 4097):
             "5a0e2127d302251a1d2ea06e3b16e004446c55fa3c8994f6a2f9a1188f670254",
-            "f04d1778b9f695cbfd8f9c23b97912b4a787d718e2dbbb9bd1b18fc816b3ce03",
-        ),
-        (0.1, 0.45, 20_000): (
+        (0.1, 0.45, 20_000):
             "9d1e6d3c200d469b8a8d4687380b5504bfbe86b70e254ace635b8f466776d183",
-            "02b02722e02726db0a850147fbcd90e3dd98e53e04adedf28016a7d5bc02718d",
-        ),
-        (0.8, 0.35, 1): (
+        (0.8, 0.35, 1):
             "186371f97564ac3484aebb179f3f806b7370d656de2e06bfc896b74719806887",
-            "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
-        ),
-        (0.8, 0.35, 7): (
+        (0.8, 0.35, 7):
             "92366306d71c089fb7a08160c69dd4dc640aed11732173b9f9e5b507548ad661",
-            "8c2c71edb4b947b01071fa583bd0db2df282d8f1c56d70b99eb2cf637370c935",
-        ),
-        (0.8, 0.35, 4097): (
+        (0.8, 0.35, 4097):
             "fb7af34579e7c87bc4c29c61ec22cbe4454ae1dbea2dc7be8a56673e64eb0f1b",
-            "9b7885fc3610a292f569934cc0a8895a0c393568116a10a031ad25394846cbe4",
-        ),
-        (0.8, 0.35, 20_000): (
+        (0.8, 0.35, 20_000):
             "06abb0f91cecf5fd591e36fc970aff4a5bc54693f6163c6b3ef68cfff84defe3",
-            "605ef45b6cfa6ee5e3aca4595e927a295d9576b1963fc9431f0e9ce45131723a",
-        ),
     }
-    # sha256 of the 4097 uniforms of block 3 of the meeting and block streams
+    # sha256 of the 4097 uniforms of block 3 of the sums and meeting streams
     # at seed 17
     UNIFORMS = {
+        _PURPOSE_SUMS: "52f986d9b971e517b4848c3ae6a5ffe6e395a8256059714ec064d0cd9c3bb6a9",
         _PURPOSE_MEETING: "245c97f9a09e0c079f301a4cf959166a2b2a0c0f42fb996911713d7aca5b8100",
-        _PURPOSE_BLOCKS: "71692f5f5ff5a46d9cf0957eb739a766ed3f61ee9d458f0d96cb1e2cc87b4d41",
     }
 
     # sha256 of the stationary sums at 5000 samples, keyed by (alpha, beta, n,
@@ -255,10 +196,8 @@ class TestPinnedStreams:
     def test_hot_shape(self, alpha, beta, size):
         params = ChainParams(alpha, beta)
         runs = sample_meeting_times(params, size, seed=17)
-        blocks = sample_blocks(params, size, seed=17)
         assert runs.absorption_violations == 0
-        meeting = _digest(runs.varsigma, runs.tau, runs.censored)
-        assert (meeting, _digest(blocks.xi_odd, blocks.xi_even)) == self.HOT[alpha, beta, size]
+        assert _digest(runs.varsigma, runs.tau, runs.censored) == self.HOT[alpha, beta, size]
 
     @pytest.mark.parametrize("purpose", list(UNIFORMS))
     def test_raw_word_prefixes(self, purpose):
@@ -283,7 +222,7 @@ class TestPinnedStreams:
         for cut, tau_wanted in ((uniforms[i], 2), (np.nextafter(uniforms[i], 1.0), 1)):
             # the split pair moves to 0 below cut and to 3 above it; 3 moves to 0
             mass = np.array([[1, 0, 0, 0], [cut, 0, 0, 1 - cut], [cut, 0, 0, 1 - cut], [1, 0, 0, 0]])
-            _, tau, _, _ = coupling._first_passages(mass, i + 1, 17, _PURPOSE_MEETING, 5)
+            _, tau, _, _ = coupling._first_passages(mass, i + 1, 17, 5)
             assert tau[i] == tau_wanted
 
 
@@ -370,15 +309,6 @@ def _meeting_cells(params, cap):
     return m_edges, d_edges, at_zero, via3, np.add.reduceat(censored, m_edges - 1)
 
 
-def _geometric_cells(stay):
-    """Left ends of bins of {0, 1, ...} past the ``_LEVELS`` of the count
-    whose tail P(count >= j) is stay**j, and the bins' masses."""
-    ends = np.floor(np.log1p(-np.append(0.0, _LEVELS)) / np.log(stay))
-    edges = np.unique(np.asarray(ends, dtype=np.int64))
-    tails = stay ** edges.astype(float)
-    return edges, tails - np.append(tails[1:], 0.0)
-
-
 def _assert_cells(counts, masses, samples):
     """Each cell's frequency within 5 standard errors of its exact mass at
     ``samples`` samples."""
@@ -412,37 +342,16 @@ class TestExactLaws:
         _assert_cells(joint, via3, self.SAMPLES)
         assert runs.absorption_violations == 0
 
-    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.6), (0.6, 0.3), (0.4, 0.4), (0.005, 0.995)])
-    def test_block_counts(self, alpha, beta):
-        # xi_odd and xi_even are independent, with tails (1 - alpha)**j and beta**j
-        blocks = sample_blocks(ChainParams(alpha, beta), self.SAMPLES, seed=42)
-        (odd_edges, odd), (even_edges, even) = _geometric_cells(1.0 - alpha), _geometric_cells(beta)
-        joint = np.zeros((odd.size, even.size))
-        cells = (
-            np.searchsorted(odd_edges, blocks.xi_odd, side="right") - 1,
-            np.searchsorted(even_edges, blocks.xi_even, side="right") - 1,
-        )
-        np.add.at(joint, cells, 1)
-        _assert_cells(joint, np.outer(odd, even), self.SAMPLES)
-
     def test_split_rows_that_differ_are_not_lumped(self):
         mass = _kernel_matrix(ChainParams(0.3, 0.6))
         mass[1, [0, 3]] += [0.1, -0.1]  # state 1 moves to 0 more often than state 2
         with pytest.raises(AssertionError, match="different masses"):
-            coupling._first_passages(mass, 10, 17, _PURPOSE_MEETING, 100)
+            coupling._first_passages(mass, 10, 17, 100)
 
 
 class TestCornerInputs:
     """Passage times grow without bound toward the corners of the square;
     the samplers' cost does not."""
-
-    def test_slow_blocks_end_in_a_second(self):
-        sample_blocks(ChainParams(0.3, 0.6), 10, 0)
-        start = time.perf_counter()
-        blocks = sample_blocks(ChainParams(1e-9, 0.5), 1000, 0)
-        assert time.perf_counter() - start < 1.0
-        # xi_odd has mean and standard deviation about 1 / alpha
-        assert abs(blocks.xi_odd.mean() - 1e9) <= 5 * 1e9 / math.sqrt(1000)
 
     def test_slow_meeting_ends_in_a_second(self):
         # with beta < alpha the leftover mass swaps orientation at every step
@@ -454,14 +363,22 @@ class TestCornerInputs:
             # most pairs are still split at the cap: P(varsigma >= cap) = |beta - alpha|**(cap - 1)
             target = abs(params.beta - params.alpha) ** (DEFAULT_STEP_CAP - 1)
             sigma = math.sqrt(target * (1.0 - target) / 1_000_000)
-            assert abs(runs.varsigma_tail(DEFAULT_STEP_CAP) - target) <= 5 * sigma, params
+            assert abs(np.mean(runs.varsigma >= DEFAULT_STEP_CAP) - target) <= 5 * sigma, params
 
-    def test_block_counts_past_int64_raise(self):
-        with pytest.raises(ValueError, match=r"alpha = 1e-300, beta = 0\.5"):
-            sample_blocks(ChainParams(1e-300, 0.5), 10, 0)
-        # counts of about 1e15 still fit and do not wrap around
-        blocks = sample_blocks(ChainParams(1e-15, 0.5), 1000, 0)
-        assert np.all(blocks.xi_odd >= 0) and blocks.xi_odd.mean() > 1e14
+    def test_largest_step_cap_keeps_counts_in_int64(self):
+        # |beta - alpha| = 1 - 2**-53: meeting takes about 2**53 ~ 9.0e15 steps,
+        # and the split pair's exit to 0 is certain (its other exit mass is 1e-300)
+        step_cap = 2**62 - 1
+        for params in (ChainParams(1e-300, 1 - 2**-53), ChainParams(1 - 2**-53, 1e-300)):
+            sample_meeting_times(params, 10, 0, step_cap=step_cap)
+            start = time.perf_counter()
+            runs = sample_meeting_times(params, 1000, 0, step_cap=step_cap)
+            assert time.perf_counter() - start < 1.0, params
+            assert not runs.censored.any(), params
+            assert np.all(runs.varsigma >= 1) and np.all(runs.tau >= runs.varsigma), params
+            # varsigma is geometric with mean and standard deviation about 1 / (1 - |beta - alpha|)
+            mean = 1.0 / (1.0 - abs(params.beta - params.alpha))
+            assert abs(runs.varsigma.mean() - mean) <= 5 * mean / math.sqrt(1000), params
 
     def test_step_cap_past_int64_rejected(self):
         with pytest.raises(ValueError, match="step_cap"):

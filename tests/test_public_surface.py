@@ -46,7 +46,7 @@ def test_package_exports_are_pinned():
         "NbSteinSetup", "SteinSolution", "DeltaBoundReport", "BinomialSteinReport",
         "Lemma24Report", "solve_nb_stein", "check_nb_delta_bound", "solve_binomial_stein",
         "check_binomial_lemma31", "verify_lemma24",
-        "CoupledState", "MeetingSamples", "BlockSamples", "sample_sums", "empirical_pmf",
-        "coupled_transition_law", "sample_meeting_times", "sample_blocks",
+        "CoupledState", "MeetingSamples", "sample_sums", "empirical_pmf",
+        "coupled_transition_law", "sample_meeting_times",
         "__version__",
     }

@@ -13,6 +13,8 @@ from markovbin import (
     fit_binomial,
     fit_negative_binomial,
     moments_closed_form,
+    nb_pmf,
+    poisson_pmf,
     solve_binomial_stein,
     solve_nb_stein,
     stationary_law,
@@ -32,12 +34,12 @@ def random_subset(rng, upper):
     return np.flatnonzero(rng.random(upper + 1) < 0.5)
 
 
-class TestNbSteinSetup:
-    def test_coefficients_from_rq(self):
-        setup = NbSteinSetup.from_rq(2.0, 0.25)
-        assert setup.a == pytest.approx(1.5) and setup.b == 0.75
-        assert setup.a == pytest.approx(setup.b * 2.0)
+def nb_setup(r, q):
+    """The Stein setup of NB(r, q): a = r*(1-q), b = 1-q."""
+    return NbSteinSetup(a=r * (1.0 - q), b=1.0 - q, target=nb_pmf(r, q))
 
+
+class TestNbSteinSetup:
     def test_matched_parameter_identity(self):
         # the matched coefficients satisfy a = n*(1-b)*p and
         # 1 - b = mean/variance at the same time
@@ -49,18 +51,12 @@ class TestNbSteinSetup:
             assert setup.a == pytest.approx(n * (1.0 - setup.b) * p, rel=1e-12)
             assert 1.0 - setup.b == pytest.approx(moments.mean / moments.variance, rel=1e-12)
 
-    def test_poisson_setup(self):
-        setup = NbSteinSetup.poisson(4.0)
-        assert setup.a == 4.0 and setup.b == 0.0
-
     def test_equidispersed_fit_takes_poisson_limit(self):
         fit = fit_negative_binomial(ChainParams(1e-13, 1e-13), 10)
         setup = NbSteinSetup.from_chain(ChainParams(1e-13, 1e-13), 10)
         assert fit.poisson_limit and (setup.a, setup.b) == (fit.lam, 0.0)
 
     def test_rejects_bad_coefficients(self):
-        from markovbin import poisson_pmf
-
         with pytest.raises(ValueError):
             NbSteinSetup(a=0.0, b=0.5, target=poisson_pmf(1.0))
         with pytest.raises(ValueError):
@@ -69,7 +65,7 @@ class TestNbSteinSetup:
 
 class TestSolveNbStein:
     def test_empty_set_gives_zero(self):
-        setup = NbSteinSetup.from_rq(3.0, 0.4)
+        setup = nb_setup(3.0, 0.4)
         solution = solve_nb_stein(setup, [])
         assert np.all(solution.g == 0.0)
         assert solution.residual_sup == 0.0
@@ -78,7 +74,7 @@ class TestSolveNbStein:
         # the forcing is the constant truncation tail, so the solution
         # vanishes at tail scale: g(j)*j*pi(j) telescopes to tail*P(< j),
         # and g is zero to rounding wherever the target carries mass
-        setup = NbSteinSetup.from_rq(3.0, 0.4)
+        setup = nb_setup(3.0, 0.4)
         pi = setup.target.mass
         top = pi.size - 1
         solution = solve_nb_stein(setup, np.arange(top + 1))
@@ -88,7 +84,7 @@ class TestSolveNbStein:
         assert np.max(np.abs(solution.g[bulk])) <= 1e-10
 
     def test_hand_run_geometric_case(self):
-        setup = NbSteinSetup.from_rq(1.0, 0.5)
+        setup = nb_setup(1.0, 0.5)
         solution = solve_nb_stein(setup, [0])
         assert solution.g[1] == pytest.approx(1.0, rel=1e-13)
         assert solution.g[2] == pytest.approx(0.5, rel=1e-13)
@@ -98,13 +94,13 @@ class TestSolveNbStein:
     def test_poisson_reduction(self):
         # b = 0 turns the recurrence into the Poisson operator
         # a*g(j+1) - j*g(j); at j = 0 that pins g(1) = f(0)/a
-        setup = NbSteinSetup.poisson(1.0)
+        setup = NbSteinSetup(a=1.0, b=0.0, target=poisson_pmf(1.0))
         solution = solve_nb_stein(setup, [0])
         assert solution.g[1] == pytest.approx((1.0 - math.exp(-1.0)) / 1.0, rel=1e-12)
         assert solution.residual_sup <= 1e-12
 
     def test_subset_outside_support_rejected(self):
-        setup = NbSteinSetup.from_rq(1.0, 0.5)
+        setup = nb_setup(1.0, 0.5)
         top = setup.target.mass.size - 1
         with pytest.raises(ValueError):
             solve_nb_stein(setup, [top + 1])
@@ -120,12 +116,12 @@ class TestSolveNbStein:
 
 class TestCheckNbDeltaBound:
     def test_zero_solution(self):
-        setup = NbSteinSetup.from_rq(3.0, 0.4)
+        setup = nb_setup(3.0, 0.4)
         report = check_nb_delta_bound(solve_nb_stein(setup, []), setup.a)
         assert report.ok and report.delta_sup == 0.0
 
     def test_hand_case_margin(self):
-        setup = NbSteinSetup.from_rq(1.0, 0.5)
+        setup = nb_setup(1.0, 0.5)
         report = check_nb_delta_bound(solve_nb_stein(setup, [0]), setup.a)
         assert report.ok
         assert report.delta_sup == pytest.approx(0.5, rel=1e-12)
@@ -222,7 +218,7 @@ class TestBatchedSolves:
         "nb-0.1-0.45-100": lambda: NbSteinSetup.from_chain(ChainParams(0.1, 0.45), 100),
         "nb-0.1-0.35-12": lambda: NbSteinSetup.from_chain(ChainParams(0.1, 0.35), 12),
         "nb-0.3-0.6-250": lambda: NbSteinSetup.from_chain(ChainParams(0.3, 0.6), 250),
-        "poisson-3.7": lambda: NbSteinSetup.poisson(3.7),
+        "poisson-3.7": lambda: NbSteinSetup(a=3.7, b=0.0, target=poisson_pmf(3.7)),
         # an equidispersed fit: the Poisson-limit branch of _nb_setup
         "poisson-limit-1e-13-10": lambda: NbSteinSetup.from_chain(ChainParams(1e-13, 1e-13), 10),
     }
@@ -286,7 +282,7 @@ class TestBatchedSolves:
                 assert checked == tuple(values[column] for values in report.values())
 
     def test_subset_forms_normalize_alike(self):
-        setup = NbSteinSetup.from_rq(3.0, 0.4)
+        setup = nb_setup(3.0, 0.4)
         top = setup.target.mass.size - 1
         wanted = solve_nb_stein(setup, [5, 1, 3])
         for subset in (np.array([3, 1, 5, 1]), np.array([5, 3, 1], dtype=np.int8), (1, 3, 5),
@@ -299,7 +295,7 @@ class TestBatchedSolves:
             solve_binomial_stein(2, 0.5, np.array([67]))
 
     def test_empty_forms_are_the_empty_set(self):
-        setup = NbSteinSetup.from_rq(3.0, 0.4)
+        setup = nb_setup(3.0, 0.4)
         wanted = solve_nb_stein(setup, [])
         for subset in (np.array([]), set(), (), np.array([], dtype=np.uint8)):
             assert np.array_equal(solve_nb_stein(setup, subset).g, wanted.g)
@@ -319,7 +315,7 @@ class TestBatchedSolves:
              "mixed"],
     )
     def test_subsets_that_are_not_integer_points_are_refused(self, subset):
-        setup = NbSteinSetup.from_rq(3.0, 0.4)
+        setup = nb_setup(3.0, 0.4)
         message = r"^subset must hold integer points, got dtype "
         with pytest.raises(ValueError, match=message):
             solve_nb_stein(setup, subset)
