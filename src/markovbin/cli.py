@@ -67,6 +67,18 @@ class SweepConfig:
             raise ValueError(f"format must be csv or json, got {self.format!r}")
 
 
+class _LawTooLong(ValueError):
+    """A reference law too long to tabulate: a usage error of its ``--n``."""
+
+
+def _reference_law(fit: NbFit | BinFit, n: int) -> Pmf:
+    """``fit._reference``, with its refusal to tabulate as ``_LawTooLong``."""
+    try:
+        return _reference(fit)
+    except ValueError as exc:
+        raise _LawTooLong(f"--n {n} is too large: {exc}") from exc
+
+
 def evaluate_point(params: ChainParams, n: int, *, exact: bool = True) -> dict[str, Any]:
     """One report record: moments, regime, fit, bound and optional exact TV."""
     return _point_row(params, n, (lambda: exact_pmf(params, n)) if exact else None)[0]
@@ -100,7 +112,7 @@ def _point_row(
     fields = {"poisson_limit": True} if getattr(fit, "poisson_limit", False) else vars(fit)
     row.update({key: value for key, value in fields.items() if key in _FIT_FIELDS})
     report = bounds_mod._bound(params, n, regime, fit)
-    reference = _reference(fit)
+    reference = _reference_law(fit, n)
     # a bound that overflows to inf is reported missing; its clipped value 1 still holds
     row["bound"] = report.bound_value if math.isfinite(report.bound_value) else None
     row["bound_clipped"] = report.clipped_value
@@ -142,8 +154,7 @@ def _stein(fit: NbFit | BinFit, target: Pmf, seed: int, subsets: int) -> _Check:
     subsets: each residual within ``stein._STEIN_TOL``, and Lemma 3.1 for a
     binomial fit or sup|dg'| <= 1/a for a negative binomial one.  All the
     subsets are solved in one batch, and the verdict is read off its
-    per-subset arrays: the criteria the public per-subset reports apply,
-    with no report built."""
+    per-subset arrays."""
     rng = np.random.default_rng(seed)
     margin = None
     if isinstance(fit, BinFit):
@@ -441,7 +452,10 @@ def cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.exact and args.n > MAX_EXACT_N:
         parser.error(f"--exact needs --n at most {MAX_EXACT_N}, got {args.n}")
     params = ChainParams(args.alpha, args.beta)
-    record = evaluate_point(params, args.n, exact=args.exact)
+    try:
+        record = evaluate_point(params, args.n, exact=args.exact)
+    except _LawTooLong as exc:
+        parser.error(str(exc))
     if not args.exact:
         record.pop("tv_exact")
     _print_record(record, args.json)
@@ -476,7 +490,7 @@ def _stein_suite(fit_for: Callable) -> Callable:
 
     def run(args: argparse.Namespace, params: ChainParams) -> _Check:
         fit = fit_for(params, args.n)
-        return _stein(fit, _reference(fit), args.seed, args.subsets)
+        return _stein(fit, _reference_law(fit, args.n), args.seed, args.subsets)
 
     return run
 
@@ -517,7 +531,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     params = ChainParams(args.alpha, args.beta) if required else None
     try:
         ok, lines = check(args, params)
-    except (RegimeError, DegenerateFitError) as exc:
+    except (RegimeError, DegenerateFitError, _LawTooLong) as exc:
         parser.error(f"suite {args.suite!r} does not apply to these inputs: {exc}")
     for line in lines:
         print(line)

@@ -28,20 +28,9 @@ import numpy as np
 
 from .bounds import bound_constants, gamma_fn
 from .core import ChainParams, Pmf, _check_laws, _exact_laws, _exact_tol
-from .fit import NbFit, _reference, binomial_pmf, fit_negative_binomial
+from .fit import NbFit
 
-__all__ = [
-    "NbSteinSetup",
-    "SteinSolution",
-    "DeltaBoundReport",
-    "BinomialSteinReport",
-    "Lemma24Report",
-    "solve_nb_stein",
-    "check_nb_delta_bound",
-    "solve_binomial_stein",
-    "check_binomial_lemma31",
-    "verify_lemma24",
-]
+__all__ = ["Lemma24Report", "verify_lemma24"]
 
 _STEIN_TOL = 1e-9  # the one Stein tolerance (residuals, bound slack), for solver rounding
 _LEMMA24_TOL = 1e-12  # slack on the Lemma 2.4 inequalities, for exact-law rounding
@@ -73,12 +62,6 @@ class NbSteinSetup:
         if not 0.0 <= self.b < 1.0:
             raise ValueError(f"b must lie in [0, 1), got {self.b!r}")
 
-    @classmethod
-    def from_chain(cls, params: ChainParams, n: int) -> "NbSteinSetup":
-        """Setup for the moment-matched fit of the n-step sum."""
-        fit = fit_negative_binomial(params, n)
-        return _nb_setup(fit, _reference(fit))
-
     @property
     def mean(self) -> float:
         return self.a / (1.0 - self.b)
@@ -92,42 +75,14 @@ def _nb_setup(fit: NbFit, target: Pmf) -> NbSteinSetup:
     return NbSteinSetup(a=fit.r * (1.0 - fit.q), b=1.0 - fit.q, target=target)
 
 
-@dataclass(frozen=True, eq=False)
-class SteinSolution:
-    """Tabulated solution g with its recurrence residual and difference norm.
-
-    ``delta_sup`` is sup |g(j+2) - g(j+1)| for the negative binomial solver
-    and sup |g(j+1) - g(j)| for the binomial one.
-    """
-
-    g: np.ndarray
-    residual_sup: float
-    delta_sup: float
-
-
-def _normalize_subset(subset: Iterable[int], upper: int) -> np.ndarray:
-    """One subset of 0..upper, given by its points, as a one-row mask for
-    ``_subset_columns``.  A boolean or non-integral collection is refused:
-    it is not a set of points."""
-    # an ndarray needs no round trip through a list
-    points = np.asarray(subset if isinstance(subset, np.ndarray) else list(subset))
-    if points.size and points.dtype.kind not in "iu":
-        raise ValueError(f"subset must hold integer points, got dtype {points.dtype}")
-    points = points.astype(np.int64).ravel()
-    if points.size and (points.min() < 0 or points.max() > upper):
-        raise ValueError(f"subset must lie within 0..{upper}")
-    mask = np.zeros((1, upper + 1), dtype=bool)
-    mask[0, points] = True
-    return mask
-
-
 def _subset_columns(mask: np.ndarray, rows: int, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The subsets of ``mask`` (row c marks the points of A_c) as columns:
     ``ind[j, c]`` is 1_{A_c}(j) for j < ``rows``, the transposed mask padded
     with zeros, and ``p_set[c]`` is P(A_c), the mass ``pi`` puts on A_c.
-    Each P(A_c) is summed over its own members, as one subset alone would
-    sum it; one sum over all columns would group numpy's pairwise sums
-    differently."""
+    Each P(A_c) is summed over its own members: one sum over all columns
+    would group numpy's pairwise sums differently, and this order keeps the
+    ``verify stein-*`` reports and each column's equality with the scalar
+    recurrences bit for bit."""
     ind = np.zeros((rows, mask.shape[0]), dtype=bool)
     ind[: mask.shape[1]] = mask.T
     p_set = np.array([pi[row[: pi.size]].sum() for row in mask])
@@ -137,13 +92,6 @@ def _subset_columns(mask: np.ndarray, rows: int, pi: np.ndarray) -> tuple[np.nda
 def _sup(values: np.ndarray) -> np.ndarray:
     """sup |values| per column."""
     return np.abs(values).max(axis=0)
-
-
-def _solution(g: np.ndarray, residual_sup: np.ndarray, delta_sup: np.ndarray) -> SteinSolution:
-    """The solution in column 0 of a batch, for a one-subset caller."""
-    return SteinSolution(
-        g=g[:, 0], residual_sup=residual_sup[0].item(), delta_sup=delta_sup[0].item()
-    )
 
 
 def _recurrence(
@@ -163,25 +111,15 @@ def _action(up: np.ndarray, down: np.ndarray, g: np.ndarray) -> np.ndarray:
     return up[:, None] * g[1 : up.size + 1] - down[:, None] * g[: up.size]
 
 
-def solve_nb_stein(setup: NbSteinSetup, subset: Iterable[int]) -> SteinSolution:
-    """Solve Bg = 1_A - P(A) for the negative binomial (or Poisson) target.
-
-    ``subset`` holds integer points within the truncated support {0..N}.
-    The returned g has entries 0..N+1; the residual is the largest equation
-    defect over j = 0..N.  This is the one-subset case of ``_solve_nb``.
-    """
-    return _solution(*_solve_nb(setup, _normalize_subset(subset, setup.target.mass.size - 1)))
-
-
 def _solve_nb(
     setup: NbSteinSetup, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``solve_nb_stein`` for the subsets of ``mask`` (one row per subset,
-    one column per point of 0..N) at once: the solutions as the columns of
-    g, with each column's residual sup and sup |g(j+2) - g(j+1)|.  The
-    recurrences run over a (j, subset) array, each entry by the operations
-    a lone subset's would take, so every column is the one its subset gives
-    alone."""
+    """Solve Bg = 1_A - P(A) for the negative binomial (or Poisson) target
+    and the subsets A of ``mask`` (one row per subset, one column per point
+    of 0..N) at once: the solutions as the columns of g (entries 0..N+1),
+    with each column's residual sup and sup |g(j+2) - g(j+1)|.  Each entry
+    takes the operations a lone subset's would, so every column is the one
+    its subset gives alone."""
     pi = setup.target.mass
     top = pi.size - 1
     if top < 1:
@@ -201,78 +139,11 @@ def _solve_nb(
     return g, _sup(_action(up, down, g) - f), _sup(np.diff(g[1:], axis=0))
 
 
-@dataclass(frozen=True)
-class DeltaBoundReport:
-    """Outcome of the second-difference norm check sup |dg'| <= 1/a."""
-
-    ok: bool
-    delta_sup: float
-    bound: float
-    margin: float
-
-
-def check_nb_delta_bound(solution: SteinSolution, a: float) -> DeltaBoundReport:
-    """Check sup_j |g(j+2) - g(j+1)| <= 1/a, returning the slack."""
-    ok, bound, margin = _nb_delta_bound(np.array([solution.delta_sup]), a)
-    return DeltaBoundReport(
-        ok=ok[0].item(), delta_sup=solution.delta_sup, bound=bound, margin=margin[0].item()
-    )
-
-
 def _nb_delta_bound(delta_sup: np.ndarray, a: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """``check_nb_delta_bound`` per column: whether each sup |dg'| is within
-    1/a, the bound 1/a, and each column's slack."""
+    """The check sup_j |g(j+2) - g(j+1)| <= 1/a per column: whether each
+    sup |dg'| is within 1/a, the bound 1/a, and each column's slack."""
     bound = 1.0 / a
     return delta_sup <= bound + _STEIN_TOL, bound, bound - delta_sup
-
-
-def solve_binomial_stein(m: int, theta: float, subset: Iterable[int]) -> SteinSolution:
-    """Solve the binomial Stein equation on 0..m and extend past the support.
-
-    On 0..m the equation theta*(m-j) g(j+1) - (1-theta)*j g(j) = 1_A - P(A)
-    holds exactly; for j >= m+1 the solution is the constant
-    -(1 + theta*1_{m in A} - theta*P(A)) / (m*theta*(1-theta)), which turns
-    the equation into an inequality.  The solution is tabulated up to
-    m + _BINOMIAL_EXTEND (64) for the checks; ``subset`` may contain points
-    up to there, but only its intersection with 0..m carries mass.  This is
-    the one-subset case of ``_binomial_stein``.
-    """
-    mask = _normalize_subset(subset, m + _BINOMIAL_EXTEND)
-    g, residual_sup, report = _binomial_stein(m, theta, binomial_pmf(m, theta).mass, mask)
-    return _solution(g, residual_sup, report["delta_sup"])
-
-
-@dataclass(frozen=True)
-class BinomialSteinReport:
-    """Outcome of the sub-solution checks for the binomial operator.
-
-    ``inequality_min_slack`` is the smallest Bg(j) - (1_A(j) - P(A)) over the
-    tabulated range (non-negative up to tolerance); the equality part of the
-    range makes it sit near zero.  ``tail_slope`` is the per-step growth of
-    Bg past m, positive whenever the constant extension is negative, which
-    makes the inequality hold beyond the tabulated range as well.
-    """
-
-    ok: bool
-    inequality_min_slack: float
-    delta_sup: float
-    delta_bound: float
-    delta_at_m_error: float
-    tail_delta_max: float
-    tail_slope: float
-
-
-def check_binomial_lemma31(
-    solution: SteinSolution, m: int, theta: float, subset: Iterable[int]
-) -> BinomialSteinReport:
-    """Check the one-sided equation, the difference norm bound
-    1/(m*theta*(1-theta)), the exact boundary difference at j = m and the
-    vanishing differences past m, all read off ``solution.g``."""
-    g = solution.g[:, None]
-    mask = _normalize_subset(subset, g.shape[0] - 1)
-    ind, p_set = _subset_columns(mask, g.shape[0], binomial_pmf(m, theta).mass)
-    _, report = _lemma31(g, m, theta, ind, p_set)
-    return BinomialSteinReport(**{name: column[0].item() for name, column in report.items()})
 
 
 def _binomial_coefficients(m: int, theta: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -285,12 +156,14 @@ def _binomial_coefficients(m: int, theta: float, rows: int) -> tuple[np.ndarray,
 def _binomial_stein(
     m: int, theta: float, pi: np.ndarray, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """``solve_binomial_stein`` and ``check_binomial_lemma31`` for the
-    subsets of ``mask`` (one row per subset, one column per point from 0 up
-    to at most m + 64) at once, for a target whose mass ``pi`` of
-    Bi(m, theta) is already tabulated: the solutions as the columns of g,
-    each column's residual sup, and its Lemma 3.1 report (``_lemma31``).
-    Each entry takes the operations a lone subset's would."""
+    """Solve the binomial Stein equation for the subsets of ``mask`` (one
+    row per subset, one column per point from 0 up to at most m + 64) at
+    once, for a target whose mass ``pi`` of Bi(m, theta) is already
+    tabulated: the solutions as the columns of g, each column's residual
+    sup, and its Lemma 3.1 report (``_lemma31``).  Each entry takes the
+    operations a lone subset's would.  The equation holds on 0..m; past m
+    g is a constant that turns it into an inequality, and only the points
+    of A within 0..m carry mass."""
     ind, p_set = _subset_columns(mask, m + _BINOMIAL_EXTEND + 1, pi)
     g = np.zeros((m + _BINOMIAL_EXTEND + 1, p_set.size))
     # g = 0 past m anchors the backward sweep, whose j = m step then solves
@@ -306,10 +179,11 @@ def _lemma31(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Each column's residual sup and Lemma 3.1 report, for the solutions in
     the columns of ``g`` and the subsets of ``_subset_columns`` over the
-    rows of g.  The report holds one array per ``BinomialSteinReport``
-    field, entry c for column c.  One defect Bg - (1_A - P(A)) over the
-    tabulated range serves both: its first m rows are the equation's
-    residual, and its minimum is the one-sided slack."""
+    rows of g.  The report holds one array per field, entry c for column c.
+    One defect Bg - (1_A - P(A)) over the tabulated range serves both: its
+    first m rows are the equation's residual, and its minimum is the
+    one-sided slack.  ``tail_slope``, the per-step growth of Bg past m, is
+    positive where the extension is negative: the inequality holds beyond."""
     top = g.shape[0] - 1
     defect = _action(*_binomial_coefficients(m, theta, top), g) - (ind[:top] - p_set)
     delta = np.diff(g, axis=0)

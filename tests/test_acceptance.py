@@ -13,28 +13,25 @@ import pytest
 from markovbin import (
     ChainParams,
     DegenerateFitError,
-    NbSteinSetup,
     Regime,
     binomial_pmf,
     bound_binomial,
     bound_constants,
-    check_binomial_lemma31,
-    check_nb_delta_bound,
     classify_regime,
     empirical_pmf,
     exact_pmf,
     fit_binomial,
+    fit_negative_binomial,
     gamma_fn,
     moments_closed_form,
     moments_from_pmf,
     sample_sums,
     shift_tv,
-    solve_binomial_stein,
-    solve_nb_stein,
     tv_distance,
     verify_lemma24,
 )
-from markovbin.cli import _coupling, evaluate_point, main
+from markovbin.cli import _coupling, _stein, evaluate_point, main
+from markovbin.fit import _reference
 
 from oracles import enumerate_pmf
 
@@ -195,30 +192,22 @@ def test_criterion_07_conditional_law_comparisons():
 NB_FIT_POINTS = [(0.1, 0.8, 100), (0.1, 0.8, 1000), (0.2, 0.6, 500), (0.3, 0.6, 200), (0.1, 0.5, 50)]
 
 
+def _stein_at(fit, label, seed):
+    """The Stein check that ``verify stein-*`` and ``sweep --checks stein``
+    run, at 200 random subsets: its verdict and its report lines."""
+    ok, lines = _stein(fit, _reference(fit), seed, 200)
+    return ok, f"{label}: {'; '.join(lines)}"
+
+
 def test_criterion_08_nb_stein_bounds():
-    rng = np.random.default_rng(20240301)
-    worst_residual = 0.0
-    min_margin = math.inf
+    # every residual within the Stein tolerance and sup|dg'| <= 1/a
+    checks = []
     for alpha, beta, n in NB_FIT_POINTS:
         params = ChainParams(alpha, beta)
         assert classify_regime(params, n) is Regime.OVERDISPERSED
-        setup = NbSteinSetup.from_chain(params, n)
-        top = setup.target.mass.size - 1
-        for _ in range(200):
-            subset = np.flatnonzero(rng.random(top + 1) < 0.5)
-            solution = solve_nb_stein(setup, subset)
-            check = check_nb_delta_bound(solution, setup.a)
-            worst_residual = max(worst_residual, solution.residual_sup)
-            min_margin = min(min_margin, check.margin)
-            assert solution.residual_sup <= 1e-9
-            assert check.ok
-    ok = worst_residual <= 1e-9 and min_margin >= -1e-9
-    report(
-        8,
-        "negative binomial Stein solution bounds",
-        ok,
-        f"max residual {worst_residual:.2e}, min margin {min_margin:.2e}",
-    )
+        checks.append(_stein_at(fit_negative_binomial(params, n), (alpha, beta, n), 20240301))
+    ok = all(passed for passed, _ in checks)
+    report(8, "negative binomial Stein solution bounds", ok, " | ".join(d for _, d in checks))
     assert ok
 
 
@@ -226,30 +215,15 @@ BIN_FIT_POINTS = [(0.3, 0.6, 2), (0.4, 0.4, 10), (0.2, 0.1, 50), (0.5, 0.5, 30),
 
 
 def test_criterion_09_binomial_stein_bounds():
-    rng = np.random.default_rng(20240302)
-    worst_residual = 0.0
-    worst_boundary = 0.0
-    for alpha, beta, n in BIN_FIT_POINTS:
-        params = ChainParams(alpha, beta)
-        fit = fit_binomial(params, n)
-        for _ in range(200):
-            subset = np.flatnonzero(rng.random(fit.m + 17) < 0.5)
-            solution = solve_binomial_stein(fit.m, fit.theta, subset)
-            check = check_binomial_lemma31(solution, fit.m, fit.theta, subset)
-            worst_residual = max(worst_residual, solution.residual_sup)
-            worst_boundary = max(worst_boundary, check.delta_at_m_error)
-            assert solution.residual_sup <= 1e-9
-            assert check.inequality_min_slack >= -1e-9
-            assert check.delta_sup <= check.delta_bound + 1e-9
-            assert check.delta_at_m_error <= 1e-9
-            assert check.tail_delta_max == 0.0
-    ok = worst_residual <= 1e-9 and worst_boundary <= 1e-9
-    report(
-        9,
-        "binomial Stein sub-solution bounds",
-        ok,
-        f"max residual {worst_residual:.2e}, max boundary error {worst_boundary:.2e}",
-    )
+    # every residual within the Stein tolerance and Lemma 3.1: the one-sided
+    # equation, the difference bound, the boundary difference at m and
+    # constant differences past it
+    checks = [
+        _stein_at(fit_binomial(ChainParams(alpha, beta), n), (alpha, beta, n), 20240302)
+        for alpha, beta, n in BIN_FIT_POINTS
+    ]
+    ok = all(passed for passed, _ in checks)
+    report(9, "binomial Stein sub-solution bounds", ok, " | ".join(d for _, d in checks))
     assert ok
 
 

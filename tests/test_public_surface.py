@@ -43,9 +43,7 @@ def test_package_exports_are_pinned():
         "poisson_pmf",
         "BoundConstants", "BoundReport", "bound_constants", "gamma_fn", "bound_nb",
         "bound_binomial",
-        "NbSteinSetup", "SteinSolution", "DeltaBoundReport", "BinomialSteinReport",
-        "Lemma24Report", "solve_nb_stein", "check_nb_delta_bound", "solve_binomial_stein",
-        "check_binomial_lemma31", "verify_lemma24",
+        "Lemma24Report", "verify_lemma24",
         "CoupledState", "MeetingSamples", "sample_sums", "empirical_pmf",
         "coupled_transition_law", "sample_meeting_times",
         "__version__",

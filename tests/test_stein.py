@@ -1,31 +1,26 @@
 import math
-from dataclasses import astuple, fields
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from markovbin import (
-    BinomialSteinReport,
     ChainParams,
-    NbSteinSetup,
-    check_binomial_lemma31,
-    check_nb_delta_bound,
+    binomial_pmf,
     fit_binomial,
     fit_negative_binomial,
     moments_closed_form,
     nb_pmf,
     poisson_pmf,
-    solve_binomial_stein,
-    solve_nb_stein,
     stationary_law,
     verify_lemma24,
 )
 from markovbin.cli import _random_subsets
-from markovbin.fit import binomial_pmf
 from markovbin.core import Pmf, _exact_laws, _exact_tol, exact_pmf
+from markovbin.fit import _reference
 from markovbin.stein import (
-    _binomial_stein, _lemma24_from_laws, _lemma24_reports, _lemma24_sides, _lemma24_steps,
-    _solve_nb,
+    NbSteinSetup, _BINOMIAL_EXTEND, _binomial_stein, _lemma24_from_laws, _lemma24_reports,
+    _lemma24_sides, _lemma24_steps, _nb_delta_bound, _nb_setup, _solve_nb,
 )
 from oracles import scalar_binomial_stein, scalar_lemma24, scalar_lemma31, scalar_nb_stein
 
@@ -39,13 +34,41 @@ def nb_setup(r, q):
     return NbSteinSetup(a=r * (1.0 - q), b=1.0 - q, target=nb_pmf(r, q))
 
 
+def chain_setup(params, n):
+    """The Stein setup of the moment-matched fit of the n-step sum."""
+    fit = fit_negative_binomial(params, n)
+    return _nb_setup(fit, _reference(fit))
+
+
+def one_row(members, upper):
+    """The subset ``members`` of 0..upper as a one-row mask."""
+    mask = np.zeros((1, upper + 1), dtype=bool)
+    mask[0, members] = True
+    return mask
+
+
+def nb_solve(setup, members):
+    """One subset's solution, residual sup and sup |dg'|: column 0 of a
+    one-row batch."""
+    g, residual_sup, delta_sup = _solve_nb(setup, one_row(members, setup.target.mass.size - 1))
+    return g[:, 0], residual_sup[0], delta_sup[0]
+
+
+def binomial_solve(m, theta, members):
+    """One subset's solution, residual sup and Lemma 3.1 report: column 0 of
+    a one-row batch over the full tabulated width m + 64."""
+    mask = one_row(members, m + _BINOMIAL_EXTEND)
+    g, residual_sup, report = _binomial_stein(m, theta, binomial_pmf(m, theta).mass, mask)
+    return g[:, 0], residual_sup[0], {name: column[0] for name, column in report.items()}
+
+
 class TestNbSteinSetup:
     def test_matched_parameter_identity(self):
         # the matched coefficients satisfy a = n*(1-b)*p and
         # 1 - b = mean/variance at the same time
         for alpha, beta, n in [(0.1, 0.8, 100), (0.2, 0.6, 500), (0.1, 0.5, 50)]:
             params = ChainParams(alpha, beta)
-            setup = NbSteinSetup.from_chain(params, n)
+            setup = chain_setup(params, n)
             moments = moments_closed_form(params, n)
             p = stationary_law(params).p
             assert setup.a == pytest.approx(n * (1.0 - setup.b) * p, rel=1e-12)
@@ -53,7 +76,7 @@ class TestNbSteinSetup:
 
     def test_equidispersed_fit_takes_poisson_limit(self):
         fit = fit_negative_binomial(ChainParams(1e-13, 1e-13), 10)
-        setup = NbSteinSetup.from_chain(ChainParams(1e-13, 1e-13), 10)
+        setup = _nb_setup(fit, _reference(fit))
         assert fit.poisson_limit and (setup.a, setup.b) == (fit.lam, 0.0)
 
     def test_rejects_bad_coefficients(self):
@@ -65,10 +88,9 @@ class TestNbSteinSetup:
 
 class TestSolveNbStein:
     def test_empty_set_gives_zero(self):
-        setup = nb_setup(3.0, 0.4)
-        solution = solve_nb_stein(setup, [])
-        assert np.all(solution.g == 0.0)
-        assert solution.residual_sup == 0.0
+        g, residual_sup, _ = nb_solve(nb_setup(3.0, 0.4), [])
+        assert np.all(g == 0.0)
+        assert residual_sup == 0.0
 
     def test_full_set_gives_zero_up_to_tail(self):
         # the forcing is the constant truncation tail, so the solution
@@ -77,135 +99,122 @@ class TestSolveNbStein:
         setup = nb_setup(3.0, 0.4)
         pi = setup.target.mass
         top = pi.size - 1
-        solution = solve_nb_stein(setup, np.arange(top + 1))
-        weighted = np.abs(solution.g[1 : top + 1]) * np.arange(1, top + 1) * pi[1:]
+        g, _, _ = nb_solve(setup, np.arange(top + 1))
+        weighted = np.abs(g[1 : top + 1]) * np.arange(1, top + 1) * pi[1:]
         assert np.max(weighted) <= setup.target.tail * (1.0 + 1e-9) + 1e-15
         bulk = np.flatnonzero(np.cumsum(pi) <= 0.99)
-        assert np.max(np.abs(solution.g[bulk])) <= 1e-10
+        assert np.max(np.abs(g[bulk])) <= 1e-10
 
     def test_hand_run_geometric_case(self):
-        setup = nb_setup(1.0, 0.5)
-        solution = solve_nb_stein(setup, [0])
-        assert solution.g[1] == pytest.approx(1.0, rel=1e-13)
-        assert solution.g[2] == pytest.approx(0.5, rel=1e-13)
-        assert solution.g[3] == pytest.approx(1 / 3, rel=1e-13)
-        assert solution.residual_sup <= 1e-12
+        g, residual_sup, _ = nb_solve(nb_setup(1.0, 0.5), [0])
+        assert g[1] == pytest.approx(1.0, rel=1e-13)
+        assert g[2] == pytest.approx(0.5, rel=1e-13)
+        assert g[3] == pytest.approx(1 / 3, rel=1e-13)
+        assert residual_sup <= 1e-12
 
     def test_poisson_reduction(self):
         # b = 0 turns the recurrence into the Poisson operator
         # a*g(j+1) - j*g(j); at j = 0 that pins g(1) = f(0)/a
         setup = NbSteinSetup(a=1.0, b=0.0, target=poisson_pmf(1.0))
-        solution = solve_nb_stein(setup, [0])
-        assert solution.g[1] == pytest.approx((1.0 - math.exp(-1.0)) / 1.0, rel=1e-12)
-        assert solution.residual_sup <= 1e-12
-
-    def test_subset_outside_support_rejected(self):
-        setup = nb_setup(1.0, 0.5)
-        top = setup.target.mass.size - 1
-        with pytest.raises(ValueError):
-            solve_nb_stein(setup, [top + 1])
+        g, residual_sup, _ = nb_solve(setup, [0])
+        assert g[1] == pytest.approx((1.0 - math.exp(-1.0)) / 1.0, rel=1e-12)
+        assert residual_sup <= 1e-12
 
     def test_residuals_small_for_random_subsets(self):
         rng = np.random.default_rng(11)
-        setup = NbSteinSetup.from_chain(ChainParams(0.1, 0.8), 100)
-        top = setup.target.mass.size - 1
-        for _ in range(25):
-            solution = solve_nb_stein(setup, random_subset(rng, top))
-            assert solution.residual_sup <= 1e-9
+        setup = chain_setup(ChainParams(0.1, 0.8), 100)
+        mask = rng.random((25, setup.target.mass.size)) < 0.5
+        _, residual_sup, _ = _solve_nb(setup, mask)
+        assert np.all(residual_sup <= 1e-9)
 
 
 class TestCheckNbDeltaBound:
     def test_zero_solution(self):
         setup = nb_setup(3.0, 0.4)
-        report = check_nb_delta_bound(solve_nb_stein(setup, []), setup.a)
-        assert report.ok and report.delta_sup == 0.0
+        _, _, delta_sup = nb_solve(setup, [])
+        ok, _, _ = _nb_delta_bound(np.array([delta_sup]), setup.a)
+        assert ok[0] and delta_sup == 0.0
 
     def test_hand_case_margin(self):
         setup = nb_setup(1.0, 0.5)
-        report = check_nb_delta_bound(solve_nb_stein(setup, [0]), setup.a)
-        assert report.ok
-        assert report.delta_sup == pytest.approx(0.5, rel=1e-12)
-        assert report.bound == pytest.approx(2.0)
+        _, _, delta_sup = nb_solve(setup, [0])
+        ok, bound, margin = _nb_delta_bound(np.array([delta_sup]), setup.a)
+        assert ok[0]
+        assert delta_sup == pytest.approx(0.5, rel=1e-12)
+        assert bound == pytest.approx(2.0)
+        assert margin[0] == bound - delta_sup
 
     def test_random_subsets_pass(self):
         rng = np.random.default_rng(23)
-        setup = NbSteinSetup.from_chain(ChainParams(0.3, 0.6), 200)
-        top = setup.target.mass.size - 1
-        for _ in range(50):
-            report = check_nb_delta_bound(solve_nb_stein(setup, random_subset(rng, top)), setup.a)
-            assert report.ok and report.margin > 0.0
+        setup = chain_setup(ChainParams(0.3, 0.6), 200)
+        _, _, delta_sup = _solve_nb(setup, rng.random((50, setup.target.mass.size)) < 0.5)
+        ok, _, margin = _nb_delta_bound(delta_sup, setup.a)
+        assert np.all(ok) and np.all(margin > 0.0)
 
 
 class TestSolveBinomialStein:
     def test_empty_set(self):
-        solution = solve_binomial_stein(2, 0.5, [])
-        assert np.all(solution.g[:3] == 0.0)
-        assert solution.g[3] == pytest.approx(-2.0, rel=1e-14)
+        g, _, _ = binomial_solve(2, 0.5, [])
+        assert np.all(g[:3] == 0.0)
+        assert g[3] == pytest.approx(-2.0, rel=1e-14)
 
     def test_singleton_zero(self):
-        solution = solve_binomial_stein(1, 0.5, [0])
-        assert solution.g[1] == pytest.approx(1.0, rel=1e-14)
-        assert solution.g[2] == pytest.approx(-3.0, rel=1e-14)
+        g, _, _ = binomial_solve(1, 0.5, [0])
+        assert g[1] == pytest.approx(1.0, rel=1e-14)
+        assert g[2] == pytest.approx(-3.0, rel=1e-14)
 
     def test_full_support(self):
-        solution = solve_binomial_stein(1, 0.5, [0, 1])
-        assert solution.g[1] == pytest.approx(0.0, abs=1e-15)
-        assert solution.g[2] == pytest.approx(-4.0, rel=1e-14)
+        g, _, _ = binomial_solve(1, 0.5, [0, 1])
+        assert g[1] == pytest.approx(0.0, abs=1e-15)
+        assert g[2] == pytest.approx(-4.0, rel=1e-14)
 
     def test_residual_small_large_m(self):
         rng = np.random.default_rng(3)
         fit = fit_binomial(ChainParams(0.2, 0.1), 500)
-        for _ in range(10):
-            subset = random_subset(rng, fit.m + 16)
-            solution = solve_binomial_stein(fit.m, fit.theta, subset)
-            assert solution.residual_sup <= 1e-9
+        mask = rng.random((10, fit.m + 17)) < 0.5
+        pi = binomial_pmf(fit.m, fit.theta).mass
+        _, residual_sup, _ = _binomial_stein(fit.m, fit.theta, pi, mask)
+        assert np.all(residual_sup <= 1e-9)
 
 
 class TestCheckBinomialLemma31:
     def test_boundary_difference_exact(self):
-        solution = solve_binomial_stein(1, 0.5, [0])
-        report = check_binomial_lemma31(solution, 1, 0.5, [0])
-        assert report.ok
-        assert abs(solution.g[2] - solution.g[1]) == pytest.approx(4.0, rel=1e-13)
-        assert report.delta_bound == pytest.approx(4.0)
-        assert report.delta_at_m_error <= 1e-12
+        g, _, report = binomial_solve(1, 0.5, [0])
+        assert report["ok"]
+        assert abs(g[2] - g[1]) == pytest.approx(4.0, rel=1e-13)
+        assert report["delta_bound"] == pytest.approx(4.0)
+        assert report["delta_at_m_error"] <= 1e-12
 
     def test_empty_set_linear_growth(self):
         # with no test set the extension makes Bg(j) = (j - theta*m)/(m*theta*(1-theta))
         m, theta = 4, 0.3
-        solution = solve_binomial_stein(m, theta, [])
+        g, _, report = binomial_solve(m, theta, [])
         scale = 1.0 / (m * theta * (1.0 - theta))
         for j in range(m + 1, m + 10):
-            action = theta * (m - j) * solution.g[j + 1] - (1.0 - theta) * j * solution.g[j]
+            action = theta * (m - j) * g[j + 1] - (1.0 - theta) * j * g[j]
             assert action == pytest.approx((j - theta * m) * scale, rel=1e-12)
             assert action >= 1.0
-        report = check_binomial_lemma31(solution, m, theta, [])
-        assert report.ok
+        assert report["ok"]
 
     def test_certain_set_trivial(self):
         # a set with full mass makes the right side non-positive off the set
-        m, theta = 3, 0.5
-        subset = [0, 1, 2, 3]
-        solution = solve_binomial_stein(m, theta, subset)
-        report = check_binomial_lemma31(solution, m, theta, subset)
-        assert report.ok
+        _, _, report = binomial_solve(3, 0.5, [0, 1, 2, 3])
+        assert report["ok"]
 
     def test_random_subsets_with_points_past_m(self):
         rng = np.random.default_rng(17)
         fit = fit_binomial(ChainParams(0.3, 0.6), 2)
-        for _ in range(50):
-            subset = random_subset(rng, fit.m + 16)
-            solution = solve_binomial_stein(fit.m, fit.theta, subset)
-            report = check_binomial_lemma31(solution, fit.m, fit.theta, subset)
-            assert report.ok
-            assert report.tail_delta_max == 0.0
+        mask = rng.random((50, fit.m + 17)) < 0.5
+        pi = binomial_pmf(fit.m, fit.theta).mass
+        _, _, report = _binomial_stein(fit.m, fit.theta, pi, mask)
+        assert np.all(report["ok"])
+        assert np.all(report["tail_delta_max"] == 0.0)
 
 
 class TestBatchedSolves:
     """A row's subsets are drawn as one mask and solved together in one
     (j, subset) array; every column must be bit for bit the scalar
-    recurrences' solution, and the public one-subset functions the same as
-    a column of a batch."""
+    recurrences' solution."""
 
     @staticmethod
     def _mask(seed, upper, count=8):
@@ -215,12 +224,12 @@ class TestBatchedSolves:
         return np.vstack([mask, np.zeros((1, upper + 1), bool), np.ones((1, upper + 1), bool)])
 
     NB_SETUPS = {
-        "nb-0.1-0.45-100": lambda: NbSteinSetup.from_chain(ChainParams(0.1, 0.45), 100),
-        "nb-0.1-0.35-12": lambda: NbSteinSetup.from_chain(ChainParams(0.1, 0.35), 12),
-        "nb-0.3-0.6-250": lambda: NbSteinSetup.from_chain(ChainParams(0.3, 0.6), 250),
+        "nb-0.1-0.45-100": lambda: chain_setup(ChainParams(0.1, 0.45), 100),
+        "nb-0.1-0.35-12": lambda: chain_setup(ChainParams(0.1, 0.35), 12),
+        "nb-0.3-0.6-250": lambda: chain_setup(ChainParams(0.3, 0.6), 250),
         "poisson-3.7": lambda: NbSteinSetup(a=3.7, b=0.0, target=poisson_pmf(3.7)),
         # an equidispersed fit: the Poisson-limit branch of _nb_setup
-        "poisson-limit-1e-13-10": lambda: NbSteinSetup.from_chain(ChainParams(1e-13, 1e-13), 10),
+        "poisson-limit-1e-13-10": lambda: chain_setup(ChainParams(1e-13, 1e-13), 10),
     }
 
     @pytest.mark.parametrize("upper,count", [(0, 1), (12, 20), (250, 3)])
@@ -246,9 +255,6 @@ class TestBatchedSolves:
             )
             assert np.array_equal(g[:, column], wanted)
             assert (residual_sup[column], delta_sup[column]) == (wanted_residual, wanted_delta)
-            single = solve_nb_stein(setup, members)
-            assert np.array_equal(single.g, wanted)
-            assert (single.residual_sup, single.delta_sup) == (wanted_residual, wanted_delta)
 
     @pytest.mark.parametrize(
         "alpha,beta,n", [(0.8, 0.35, 100), (0.8, 0.55, 12), (0.3, 0.6, 2), (0.2, 0.1, 500)]
@@ -262,7 +268,10 @@ class TestBatchedSolves:
         for past in (16, 64):
             mask = self._mask(n + past, m + past)
             g, residual_sup, report = _binomial_stein(m, theta, pi, mask)
-            assert list(report) == [field.name for field in fields(BinomialSteinReport)]
+            assert list(report) == [
+                "ok", "inequality_min_slack", "delta_sup", "delta_bound", "delta_at_m_error",
+                "tail_delta_max", "tail_slope",
+            ]
             for column, row in enumerate(mask):
                 members = np.flatnonzero(row)
                 wanted, wanted_residual, wanted_delta = scalar_binomial_stein(
@@ -275,55 +284,6 @@ class TestBatchedSolves:
                     report[name][column] for name in
                     ("inequality_min_slack", "delta_at_m_error", "tail_delta_max", "tail_slope")
                 ) == scalar_lemma31(wanted, m, theta, pi, members)
-                single = solve_binomial_stein(m, theta, members)
-                assert np.array_equal(single.g, wanted)
-                assert (single.residual_sup, single.delta_sup) == (wanted_residual, wanted_delta)
-                checked = astuple(check_binomial_lemma31(single, m, theta, members))
-                assert checked == tuple(values[column] for values in report.values())
-
-    def test_subset_forms_normalize_alike(self):
-        setup = nb_setup(3.0, 0.4)
-        top = setup.target.mass.size - 1
-        wanted = solve_nb_stein(setup, [5, 1, 3])
-        for subset in (np.array([3, 1, 5, 1]), np.array([5, 3, 1], dtype=np.int8), (1, 3, 5),
-                       {1, 3, 5}, (k for k in (3, 5, 1)), np.array([1, 3, 5], dtype=np.uint16)):
-            assert np.array_equal(solve_nb_stein(setup, subset).g, wanted.g)
-        for subset in (np.array([top + 1]), np.array([-1, 2]), [top + 1], [-1]):
-            with pytest.raises(ValueError, match=rf"^subset must lie within 0\.\.{top}$"):
-                solve_nb_stein(setup, subset)
-        with pytest.raises(ValueError, match=r"^subset must lie within 0\.\.66$"):
-            solve_binomial_stein(2, 0.5, np.array([67]))
-
-    def test_empty_forms_are_the_empty_set(self):
-        setup = nb_setup(3.0, 0.4)
-        wanted = solve_nb_stein(setup, [])
-        for subset in (np.array([]), set(), (), np.array([], dtype=np.uint8)):
-            assert np.array_equal(solve_nb_stein(setup, subset).g, wanted.g)
-
-    @pytest.mark.parametrize(
-        "subset",
-        [
-            np.array([True, True, False, False]),  # a mask, not the points {0, 1}
-            [True, False],
-            [1.5],
-            np.array([2.7]),
-            np.array([1.0, 3.0]),
-            ["3"],
-            [1, "2"],
-        ],
-        ids=["bool-mask", "bool-list", "float", "float-array", "integral-floats", "string",
-             "mixed"],
-    )
-    def test_subsets_that_are_not_integer_points_are_refused(self, subset):
-        setup = nb_setup(3.0, 0.4)
-        message = r"^subset must hold integer points, got dtype "
-        with pytest.raises(ValueError, match=message):
-            solve_nb_stein(setup, subset)
-        with pytest.raises(ValueError, match=message):
-            solve_binomial_stein(10, 0.3, subset)
-        solution = solve_binomial_stein(10, 0.3, [])
-        with pytest.raises(ValueError, match=message):
-            check_binomial_lemma31(solution, 10, 0.3, subset)
 
 
 class TestVerifyLemma24:
